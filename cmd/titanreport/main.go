@@ -31,18 +31,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/url"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"titanre/internal/core"
 	"titanre/internal/dataset"
 	"titanre/internal/ingest"
 	"titanre/internal/sim"
-	"titanre/internal/store"
-	"titanre/internal/xid"
+	"titanre/internal/titanql"
 )
 
 func main() {
@@ -188,33 +186,14 @@ func main() {
 
 // printRollup renders the batch-pipeline rollup as indented JSON — the
 // same document (and bytes) titand's GET /rollup serves for the same
-// stream and spec.
-func printRollup(study *core.Study, by string, bucket time.Duration, codeArg string) error {
-	spec := store.RollupSpec{Bucket: bucket}
-	for _, dim := range strings.Split(by, ",") {
-		switch strings.TrimSpace(dim) {
-		case "":
-		case "code":
-			spec.ByCode = true
-		case "cabinet":
-			spec.ByCabinet = true
-		case "cage":
-			spec.ByCage = true
-		case "node":
-			spec.ByNode = true
-		default:
-			return fmt.Errorf("bad -rollup dimension %q: want code, cabinet, cage or node", dim)
-		}
+// stream and spec. The flags lower exactly as the endpoint's ?by=,
+// ?bucket= and ?code= parameters do.
+func printRollup(study *core.Study, by string, bucket time.Duration, code string) error {
+	plan, err := titanql.FromURL(titanql.KindRollup, url.Values{"by": {by}, "bucket": {bucket.String()}, "code": {code}})
+	if err != nil {
+		return err
 	}
-	if codeArg != "" {
-		code, err := parseCode(codeArg)
-		if err != nil {
-			return err
-		}
-		spec.FilterCode = true
-		spec.Code = code
-	}
-	doc, err := study.Rollup(spec)
+	c, err := plan.Compile()
 	if err != nil {
 		return err
 	}
@@ -222,22 +201,7 @@ func printRollup(study *core.Study, by string, bucket time.Duration, codeArg str
 	defer w.Flush()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// parseCode accepts an XID number or the sbe/otb abbreviations.
-func parseCode(s string) (xid.Code, error) {
-	switch strings.ToLower(s) {
-	case "sbe":
-		return xid.SingleBitError, nil
-	case "otb":
-		return xid.OffTheBus, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad code %q: want an XID number, sbe or otb", s)
-	}
-	return xid.Code(n), nil
+	return enc.Encode(c.ExecuteEvents(study.Events()).Body())
 }
 
 func writeQuarantine(path string, health *ingest.Health) error {

@@ -297,9 +297,9 @@ func (s *Study) Query(q string, workers int) (titanql.Doc, error) {
 		return titanql.Doc{}, err
 	}
 	if s.store != nil {
-		return compiled.Execute(s.store.Segments(), nil, workers)
+		return compiled.Execute(s.store.Segments(), nil, workers), nil
 	}
-	return compiled.ExecuteEvents(s.Result.Events)
+	return compiled.ExecuteEvents(s.Result.Events), nil
 }
 
 // Alerts replays the console log through the operator alerting engine

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"titanre/internal/serve"
-	"titanre/internal/store"
 	"titanre/internal/titanql"
 )
 
@@ -24,10 +23,9 @@ import (
 // over the undivided stream — byte for byte, which is how the tests
 // check it.
 //
-//   - /rollup and /top fetch ?partial=1 raw accumulators and merge with
-//     the store kernels (replica partials and segment partials are the
-//     same algebra).
-//   - /query does the same through titanql, ranking only after the
+//   - /rollup, /top and /query fetch ?partial=1 titanql partials and
+//     merge them with one handler (replica partials and segment
+//     partials are the same algebra), ranking only after the
 //     cluster-wide merge — ranking before merging would be wrong
 //     whenever a key's count is split across replicas.
 //   - /alerts is the stateful one: it unions the replicas' evidence
@@ -129,73 +127,29 @@ func decodeAll[T any](results []fanResult) ([]T, error) {
 	return out, nil
 }
 
-// handleRollup merges replica rollup accumulators into the exact
-// single-daemon RollupDoc.
-func (rt *Router) handleRollup(w http.ResponseWriter, r *http.Request) {
-	results := rt.fanOut(r, "/rollup", partialQuery(r))
-	if !rt.gatherOK(w, results) {
-		return
-	}
-	parts, err := decodeAll[store.RollupPartial](results)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	roll, err := store.MergeRollupPartials(parts)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	rt.metrics.mergedQueries.Add(1)
-	writeJSON(w, roll.Doc())
-}
-
-// handleTop merges replica top accumulators; ranking and K-truncation
-// happen only here, after cluster-wide counts are whole.
-func (rt *Router) handleTop(w http.ResponseWriter, r *http.Request) {
-	results := rt.fanOut(r, "/top", partialQuery(r))
-	if !rt.gatherOK(w, results) {
-		return
-	}
-	parts, err := decodeAll[store.TopPartial](results)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	top, err := store.MergeTopPartials(parts)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	rt.metrics.mergedQueries.Add(1)
-	writeJSON(w, top.Doc())
-}
-
-// handleQuery merges replica titanql partials into the exact
-// single-daemon query document.
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	results := rt.fanOut(r, "/query", partialQuery(r))
+// handleMerged serves /rollup, /top and /query alike: every replica
+// answers ?partial=1 with a titanql.Partial, MergePartials folds them
+// into the exact single-daemon document — ranking and K-truncation
+// happen only here, after cluster-wide counts are whole — and the
+// endpoint's body (the bare RollupDoc or TopDoc, or the whole query
+// Doc) is written exactly as one daemon would.
+func (rt *Router) handleMerged(w http.ResponseWriter, r *http.Request) {
+	results := rt.fanOut(r, r.URL.Path, partialQuery(r))
 	if !rt.gatherOK(w, results) {
 		return
 	}
 	parts, err := decodeAll[titanql.Partial](results)
-	if err != nil {
-		rt.metrics.readErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+	var doc titanql.Doc
+	if err == nil {
+		doc, err = titanql.MergePartials(parts)
 	}
-	doc, err := titanql.MergePartials(parts)
 	if err != nil {
 		rt.metrics.readErrors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	rt.metrics.mergedQueries.Add(1)
-	writeJSON(w, doc)
+	writeJSON(w, doc.Body())
 }
 
 // handleAlerts reconstructs the cluster-wide alert stream: union the

@@ -168,9 +168,9 @@ func New(cfg Config) (*Router, error) {
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("POST /ingest", rt.handleIngest)
 	rt.mux.HandleFunc("GET /alerts", rt.handleAlerts)
-	rt.mux.HandleFunc("GET /rollup", rt.handleRollup)
-	rt.mux.HandleFunc("GET /top", rt.handleTop)
-	rt.mux.HandleFunc("GET /query", rt.handleQuery)
+	rt.mux.HandleFunc("GET /rollup", rt.handleMerged)
+	rt.mux.HandleFunc("GET /top", rt.handleMerged)
+	rt.mux.HandleFunc("GET /query", rt.handleMerged)
 	rt.mux.HandleFunc("GET /stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)

@@ -139,6 +139,7 @@ var clusterReadPaths = []string{
 	"/rollup?by=code&bucket=1h&code=sbe",
 	"/top?by=node&k=15",
 	"/top?by=serial&k=10&code=sbe",
+	"/top?by=node&k=10&cabinet=c3-*",
 	"/query?" + url.Values{"q": {"code=48 cabinet=c3-* | by cage | bucket 6h | top 5"}}.Encode(),
 	"/query?" + url.Values{"q": {"* | by code | bucket 1d"}}.Encode(),
 	"/query?" + url.Values{"q": {"code=sbe | top serial 5"}}.Encode(),

@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"titanre/internal/console"
@@ -20,30 +20,16 @@ import (
 //
 //	GET /codes/{xid}/history?since=&until=&limit=
 //	GET /rollup?by=code,cabinet&bucket=1h&code=&cabinet=&cage=&node=&since=&until=
-//	GET /top?k=20&by=node|serial|code&code=&since=&until=
+//	GET /top?k=20&by=node|serial|code&code=&cabinet=&cage=&node=&since=&until=
 //	GET /query?q=<titanql expression>
 //
-// All three read one consistent (sealed segments, retained tail)
-// snapshot via historyView, stream segment columns without
-// materializing events (rollup/top), and fold the retained tail through
-// the identical kernel — so their answers byte-match the batch core
-// pipeline computing the same aggregate over the same stream.
-
-// parseCode accepts "13", "-1", or the conventional abbreviations
-// "sbe" / "otb" (case-insensitive).
-func parseCode(s string) (xid.Code, error) {
-	switch strings.ToLower(s) {
-	case "sbe":
-		return xid.SingleBitError, nil
-	case "otb":
-		return xid.OffTheBus, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad code %q: want an XID number, sbe or otb", s)
-	}
-	return xid.Code(n), nil
-}
+// /rollup and /top lower their parameters onto a titanql plan
+// (titanql.FromURL), so all three aggregate endpoints are one query
+// path: compile, then scan one consistent (sealed segments, retained
+// tail) snapshot via historyView with store.Scan — segment columns
+// streamed without materializing events, the retained tail folded
+// through the identical kernel — so their answers byte-match the batch
+// core pipeline computing the same aggregate over the same stream.
 
 // CodeHistoryEvent is one event in a fleet-wide code history.
 type CodeHistoryEvent struct {
@@ -71,12 +57,12 @@ type CodeHistory struct {
 // Optional ?since=/?until= bound the range; ?limit=N caps the response
 // (truncated flag set when it bites).
 func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
-	code, err := parseCode(r.PathValue("xid"))
+	code, err := titanql.ParseCode(r.PathValue("xid"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	since, until, ok := parseTimeRange(w, r)
+	m, ok := historyMatcher(w, r, store.Predicate{Codes: []xid.Code{code}, Cage: -1})
 	if !ok {
 		return
 	}
@@ -89,22 +75,8 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.queryCodeHistory.Add(1)
 
-	segs, tail := s.historyView()
-	hist := CodeHistory{Code: code.String()}
-	var events []console.Event
-	for _, seg := range segs {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		events = seg.ScanCodeRange(code, since, until, events)
-	}
-	hist.Sealed = len(events)
-	for _, ev := range tail {
-		if ev.Code == code && inRange(ev.Time, since, until) {
-			events = append(events, ev)
-		}
-	}
-	hist.Retained = len(events) - hist.Sealed
+	events, sealed := s.scanHistory(m)
+	hist := CodeHistory{Code: code.String(), Sealed: sealed, Retained: len(events) - sealed}
 	if limit >= 0 && len(events) > limit {
 		events = events[:limit]
 		hist.Truncated = true
@@ -125,104 +97,17 @@ func (s *Server) handleCodeHistory(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, hist)
 }
 
-// handleRollup serves time-bucketed fleet-wide counts — the paper's
-// Fig 3 (events/hour by code) and Fig 12 (per-cabinet density) as live
-// JSON. ?by= is a comma list of code, cabinet, cage, node (empty = a
-// pure time series); ?bucket= is a Go duration ≥ 1s (default 1h);
-// ?code= filters to one code (bitmap fast path); ?since=/?until= bound
-// the range. Cells are sorted canonically, so the body is byte-stable
-// for a given history.
-func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
-	spec := store.RollupSpec{Bucket: time.Hour}
-	if v := r.URL.Query().Get("by"); v != "" {
-		for _, dim := range strings.Split(v, ",") {
-			switch strings.TrimSpace(dim) {
-			case "code":
-				spec.ByCode = true
-			case "cabinet":
-				spec.ByCabinet = true
-			case "cage":
-				spec.ByCage = true
-			case "node":
-				spec.ByNode = true
-			default:
-				http.Error(w, fmt.Sprintf("bad by dimension %q: want code, cabinet, cage or node", dim), http.StatusBadRequest)
-				return
+// historyMatcher bounds p by the optional ?since= / ?until= parameters
+// (decoded by titanql.SetPred, as every query surface does) and
+// compiles it, reporting ok=false after writing the 400.
+func historyMatcher(w http.ResponseWriter, r *http.Request, p store.Predicate) (*store.Matcher, bool) {
+	for _, key := range []string{"since", "until"} {
+		if v := r.URL.Query().Get(key); v != "" {
+			if err := titanql.SetPred(&p, key, v, false); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return nil, false
 			}
 		}
-	}
-	if v := r.URL.Query().Get("bucket"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad bucket %q: %v", v, err), http.StatusBadRequest)
-			return
-		}
-		spec.Bucket = d
-	}
-	if v := r.URL.Query().Get("code"); v != "" {
-		code, err := parseCode(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		spec.FilterCode = true
-		spec.Code = code
-	}
-	var ok bool
-	if spec.Since, spec.Until, ok = parseTimeRange(w, r); !ok {
-		return
-	}
-	m, ok := parseWhereParams(w, r)
-	if !ok {
-		return
-	}
-
-	segs, tail := s.historyView()
-	if wantPartial(r) {
-		acc, err := store.ParallelRollupAcc(segs, tail, spec, m, 0)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.metrics.queryRollup.Add(1)
-		writeJSON(w, acc.Partial())
-		return
-	}
-	doc, err := store.ParallelRollup(segs, tail, spec, m, 0)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.metrics.queryRollup.Add(1)
-	writeJSON(w, doc)
-}
-
-// wantPartial reports whether the caller asked for the raw accumulator
-// instead of the rendered document (?partial=1) — the replica side of a
-// cluster query, merged by titanrouter with the store Merge kernels.
-func wantPartial(r *http.Request) bool {
-	return r.URL.Query().Get("partial") == "1"
-}
-
-// parseWhereParams reads the optional ?cabinet= / ?cage= / ?node=
-// location filters into a compiled matcher (nil when none are given).
-// Decoding goes through titanql.SetPred — the same helper the query
-// language uses — so `?cabinet=c3-*` and `cabinet=c3-*` in a /query
-// expression accept identical spellings and fail identically.
-func parseWhereParams(w http.ResponseWriter, r *http.Request) (*store.Matcher, bool) {
-	p := store.Predicate{Cage: -1}
-	for _, key := range []string{"node", "cabinet", "cage"} {
-		v := r.URL.Query().Get(key)
-		if v == "" {
-			continue
-		}
-		if err := titanql.SetPred(&p, key, v, false); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return nil, false
-		}
-	}
-	if p.Empty() {
-		return nil, true
 	}
 	m, err := p.Compile()
 	if err != nil {
@@ -232,103 +117,92 @@ func parseWhereParams(w http.ResponseWriter, r *http.Request) (*store.Matcher, b
 	return m, true
 }
 
-// handleQuery serves one composed titanql plan — filter × group ×
-// bucket × rank in a single expression:
-//
-//	GET /query?q=code=48 cabinet=c3-* | by cage | bucket 6h | top 5
-//
-// The plan is compiled onto the store kernels and executed
-// segment-parallel over the same consistent (sealed, tail) snapshot
-// every other query endpoint reads; the response carries the canonical
-// query spelling and is byte-identical at any worker count.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.metrics.queries.Add(1)
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		s.metrics.queryErrors.Add(1)
-		http.Error(w, "missing q: want /query?q=<titanql expression>", http.StatusBadRequest)
-		return
-	}
-	plan, err := titanql.Parse(q)
-	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	compiled, err := plan.Compile()
-	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+// scanHistory returns every event m matches from one consistent
+// snapshot (historyView), in arrival order — sealed segments first,
+// walked only at the positions their predicate bitmaps mark, then the
+// retained tail — and how many of them came from sealed segments. The
+// tail is never re-sorted: sorting second-resolution timestamps would
+// diverge same-second order from what warm restart and snapshots serve.
+func (s *Server) scanHistory(m *store.Matcher) ([]console.Event, int) {
 	segs, tail := s.historyView()
-	if wantPartial(r) {
-		part, err := compiled.ExecutePartial(segs, tail, 0)
-		if err != nil {
-			s.metrics.queryErrors.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	var events []console.Event
+	for _, seg := range segs {
+		events = seg.ScanWhere(m, events)
+	}
+	sealed := len(events)
+	for _, ev := range tail {
+		if m.MatchEvent(ev) {
+			events = append(events, ev)
 		}
-		writeJSON(w, part)
-		return
 	}
-	doc, err := compiled.Execute(segs, tail, 0)
-	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	return events, sealed
+}
+
+// handleRollup serves time-bucketed fleet-wide counts — the paper's
+// Fig 3 (events/hour by code) and Fig 12 (per-cabinet density) as live
+// JSON. ?by= is a comma list of code, cabinet, cage, node (empty = a
+// pure time series); ?bucket= is a duration ≥ 1s (default 1h); ?code=
+// filters to one code (echoed in the body); ?node=, ?cabinet=, ?cage=,
+// ?since= and ?until= filter as their titanql predicates do. Cells are
+// sorted canonically, so the body is byte-stable for a given history.
+func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
+	plan, err := titanql.FromURL(titanql.KindRollup, r.URL.Query())
+	if s.servePlan(w, r, plan, err) {
+		s.metrics.queryRollup.Add(1)
 	}
-	writeJSON(w, doc)
 }
 
 // handleTop serves offender cards ranked by event count — the paper's
 // "a handful of cards produce almost all the SBEs" lists, counted
 // straight off per-code bitmaps. ?by= is node (default), serial or
-// code; ?k= caps the ranking (default 20, 0 = all); ?code= restricts
-// the count to one code; ?since=/?until= bound the range.
+// code; ?k= caps the ranking (default 20, 0 = all); the filters are
+// /rollup's.
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	spec := store.TopSpec{By: store.TopByNode, K: 20}
-	if v := r.URL.Query().Get("by"); v != "" {
-		spec.By = store.TopBy(v)
-	}
-	if v := r.URL.Query().Get("k"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil || k < 0 {
-			http.Error(w, fmt.Sprintf("bad k %q", v), http.StatusBadRequest)
-			return
-		}
-		spec.K = k
-	}
-	if v := r.URL.Query().Get("code"); v != "" {
-		code, err := parseCode(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		spec.FilterCode = true
-		spec.Code = code
-	}
-	var ok bool
-	if spec.Since, spec.Until, ok = parseTimeRange(w, r); !ok {
-		return
-	}
-
-	segs, tail := s.historyView()
-	if wantPartial(r) {
-		acc, err := store.ParallelTopAcc(segs, tail, spec, nil, 0)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	plan, err := titanql.FromURL(titanql.KindTop, r.URL.Query())
+	if s.servePlan(w, r, plan, err) {
 		s.metrics.queryTop.Add(1)
-		writeJSON(w, acc.Partial())
-		return
 	}
-	doc, err := store.TopSegments(segs, tail, spec)
+}
+
+// handleQuery serves one composed titanql plan — filter × group ×
+// bucket × rank in a single expression:
+//
+//	GET /query?q=code=48 cabinet=c3-* | by cage | bucket 6h | top 5
+//
+// The response carries the canonical query spelling and is
+// byte-identical at any worker count.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	s.metrics.queries.Add(1)
+	var plan *titanql.Plan
+	err := errors.New("missing q: want /query?q=<titanql expression>")
+	if q := r.URL.Query().Get("q"); q != "" {
+		plan, err = titanql.Parse(q)
+	}
+	if !s.servePlan(w, r, plan, err) {
+		s.metrics.queryErrors.Add(1)
+	}
+}
+
+// servePlan compiles a lowered plan (err is the lowering's) and runs it
+// segment-parallel over one consistent snapshot. It writes the raw
+// titanql.Partial when the caller asks for ?partial=1 — the replica
+// half of a titanrouter merge — and the endpoint's document otherwise,
+// reporting false after writing the 400 for a plan that failed to lower
+// or compile.
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, plan *titanql.Plan, err error) bool {
+	var c *titanql.Compiled
+	if err == nil {
+		c, err = plan.Compile()
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return false
 	}
-	s.metrics.queryTop.Add(1)
-	writeJSON(w, doc)
+	segs, tail := s.historyView()
+	if r.URL.Query().Get("partial") == "1" {
+		writeJSON(w, c.ExecutePartial(segs, tail, 0))
+	} else {
+		writeJSON(w, c.Execute(segs, tail, 0).Body())
+	}
+	return true
 }

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"titanre/internal/console"
 	"titanre/internal/store"
 	"titanre/internal/titanql"
+	"titanre/internal/xid"
 )
 
 func queryURL(base, q string) string {
@@ -52,12 +54,8 @@ func TestQueryEndpointMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", q, err)
 		}
-		ref, err := c.ExecuteEvents(want)
-		if err != nil {
-			t.Fatalf("ExecuteEvents(%q): %v", q, err)
-		}
 		body := getBody(t, queryURL(base, q))
-		if !bytes.Equal(body, renderJSON(t, ref)) {
+		if !bytes.Equal(body, renderJSON(t, c.ExecuteEvents(want))) {
 			t.Fatalf("GET /query?q=%s diverges from the naive fold over the same stream", q)
 		}
 	}
@@ -93,10 +91,10 @@ func TestQueryEndpointMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestRollupWhereParams: the /rollup location filters (?cabinet=,
-// ?cage=, ?node=) go through the same titanql predicate decoding and
-// matcher as /query, so the filtered rollup byte-matches the batch
-// kernel over the matcher-filtered stream.
+// TestRollupWhereParams: the /rollup and /top location filters
+// (?cabinet=, ?cage=, ?node=) go through the same titanql lowering and
+// matcher as /query, so the filtered rollup or ranking byte-matches the
+// batch kernel over the matcher-filtered stream.
 func TestRollupWhereParams(t *testing.T) {
 	events := simEvents()
 	log := encodeLog(t, events)
@@ -105,15 +103,23 @@ func TestRollupWhereParams(t *testing.T) {
 		t.Fatalf("compact: %v", err)
 	}
 
+	rollup := func(spec store.RollupSpec) func([]console.Event) (any, error) {
+		return func(ev []console.Event) (any, error) { return store.RollupEvents(ev, spec) }
+	}
+	top := func(spec store.TopSpec) func([]console.Event) (any, error) {
+		return func(ev []console.Event) (any, error) { return store.TopEvents(ev, spec) }
+	}
 	cases := []struct {
 		query string
 		pred  store.Predicate
-		spec  store.RollupSpec
+		ref   func([]console.Event) (any, error)
 	}{
-		{"by=cage&bucket=6h&cabinet=c3-*", store.Predicate{Cabinet: "c3-*", Cage: -1}, store.RollupSpec{ByCage: true, Bucket: 6 * time.Hour}},
-		{"by=code&bucket=1h&cage=2", store.Predicate{Cage: 2}, store.RollupSpec{ByCode: true, Bucket: time.Hour}},
-		{"by=node&bucket=24h&node=c?-1c2s*", store.Predicate{Node: "c?-1c2s*", Cage: -1}, store.RollupSpec{ByNode: true, Bucket: 24 * time.Hour}},
-		{"bucket=12h&code=48&cabinet=c*-0&cage=0", store.Predicate{Cabinet: "c*-0", Cage: 0}, store.RollupSpec{Bucket: 12 * time.Hour, FilterCode: true, Code: 48}},
+		{"/rollup?by=cage&bucket=6h&cabinet=c3-*", store.Predicate{Cabinet: "c3-*", Cage: -1}, rollup(store.RollupSpec{ByCage: true, Bucket: 6 * time.Hour})},
+		{"/rollup?by=code&bucket=1h&cage=2", store.Predicate{Cage: 2}, rollup(store.RollupSpec{ByCode: true, Bucket: time.Hour})},
+		{"/rollup?by=node&bucket=24h&node=c?-1c2s*", store.Predicate{Node: "c?-1c2s*", Cage: -1}, rollup(store.RollupSpec{ByNode: true, Bucket: 24 * time.Hour})},
+		{"/rollup?bucket=12h&code=48&cabinet=c*-0&cage=0", store.Predicate{Cabinet: "c*-0", Cage: 0}, rollup(store.RollupSpec{Bucket: 12 * time.Hour, FilterCode: true, Code: 48})},
+		{"/top?by=node&cabinet=c3-*", store.Predicate{Cabinet: "c3-*", Cage: -1}, top(store.TopSpec{By: store.TopByNode, K: 20})},
+		{"/top?by=serial&code=sbe&cage=2", store.Predicate{Cage: 2}, top(store.TopSpec{By: store.TopBySerial, K: 20, FilterCode: true, Code: xid.SingleBitError})},
 	}
 	for _, tc := range cases {
 		m, err := tc.pred.Compile()
@@ -131,19 +137,21 @@ func TestRollupWhereParams(t *testing.T) {
 		if kept == 0 || kept == int64(len(want)) {
 			t.Fatalf("%s: predicate kept %d of %d events — not a discriminating case", tc.query, kept, len(want))
 		}
-		ref, err := store.RollupEvents(filtered, tc.spec)
+		ref, err := tc.ref(filtered)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := getBody(t, base+"/rollup?"+tc.query)
+		body := getBody(t, base+tc.query)
 		if !bytes.Equal(body, renderJSON(t, ref)) {
-			t.Fatalf("GET /rollup?%s diverges from the matcher-filtered batch rollup", tc.query)
+			t.Fatalf("GET %s diverges from the matcher-filtered batch fold", tc.query)
 		}
 	}
 
-	for _, q := range []string{"cage=9", "cage=x", "node=c[3-", "cabinet=c["} {
-		if got := getStatus(t, base+"/rollup?"+q); got != http.StatusBadRequest {
-			t.Fatalf("bad param %q: got %d, want 400", q, got)
+	for _, path := range []string{"/rollup", "/top"} {
+		for _, q := range []string{"cage=9", "cage=x", "node=c[3-", "cabinet=c["} {
+			if got := getStatus(t, base+path+"?"+q); got != http.StatusBadRequest {
+				t.Fatalf("bad param %s?%s: got %d, want 400", path, q, got)
+			}
 		}
 	}
 	_ = s
@@ -174,11 +182,7 @@ func TestQueryExprConsistencyUnderCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := c.ExecuteEvents(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[q] = renderJSON(t, ref)
+		refs[q] = renderJSON(t, c.ExecuteEvents(want))
 	}
 
 	span := want[len(want)-1].Time.Sub(want[0].Time)

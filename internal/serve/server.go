@@ -634,34 +634,11 @@ func (s *Server) historyView() ([]*store.Segment, []console.Event) {
 	return segs, tail
 }
 
-// parseTimeRange reads optional ?since= / ?until= RFC 3339 bounds,
-// reporting ok=false after writing the 400.
-func parseTimeRange(w http.ResponseWriter, r *http.Request) (since, until time.Time, ok bool) {
-	var err error
-	if v := r.URL.Query().Get("since"); v != "" {
-		if since, err = time.Parse(time.RFC3339, v); err != nil {
-			http.Error(w, fmt.Sprintf("bad since %q: %v", v, err), http.StatusBadRequest)
-			return since, until, false
-		}
-	}
-	if v := r.URL.Query().Get("until"); v != "" {
-		if until, err = time.Parse(time.RFC3339, v); err != nil {
-			http.Error(w, fmt.Sprintf("bad until %q: %v", v, err), http.StatusBadRequest)
-			return since, until, false
-		}
-	}
-	return since, until, true
-}
-
 // handleNodeHistory serves a node's full event history: sealed segments
-// are scanned through their per-segment min/max time bounds (segments
-// outside [since, until] are pruned without touching their columns),
-// then the retained tail is appended. The two halves come from one
-// consistent snapshot (historyView), and the response preserves arrival
-// order — the tail strictly follows the sealed history, never re-sorted,
-// because sorting second-resolution timestamps would diverge same-second
-// order from what warm restart and snapshots serve. Optional ?since= /
-// ?until= take RFC 3339 timestamps.
+// outside [since, until] are pruned without touching their columns, the
+// rest walked at the node's rows, then the retained tail is appended —
+// in arrival order, from one consistent snapshot (scanHistory).
+// Optional ?since= / ?until= bound the range.
 func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 	cname := r.PathValue("cname")
 	node, err := topology.ParseNodeID(cname)
@@ -669,30 +646,16 @@ func (s *Server) handleNodeHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad cname %q: %v", cname, err), http.StatusBadRequest)
 		return
 	}
-	since, until, ok := parseTimeRange(w, r)
+	m, ok := historyMatcher(w, r, store.Predicate{Node: topology.CNameOf(node), Cage: -1})
 	if !ok {
 		return
 	}
 
-	segs, tail := s.historyView()
-	var events []console.Event
-	for _, seg := range segs {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		events = seg.ScanNode(node, since, until, events)
-	}
-	sealedCount := len(events)
-	for _, ev := range tail {
-		if ev.Node == node && inRange(ev.Time, since, until) {
-			events = append(events, ev)
-		}
-	}
-
+	events, sealed := s.scanHistory(m)
 	hist := NodeHistory{
 		Node:     topology.CNameOf(node),
-		Sealed:   sealedCount,
-		Retained: len(events) - sealedCount,
+		Sealed:   sealed,
+		Retained: len(events) - sealed,
 		Events:   make([]HistoryEvent, 0, len(events)),
 	}
 	for _, ev := range events {
@@ -1000,18 +963,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"history":        history,
 		"uptime_seconds": time.Since(s.metrics.start).Seconds(),
 	})
-}
-
-// inRange reports whether t falls inside [since, until], zero bounds
-// meaning unbounded — the same semantics the segment scans use.
-func inRange(t time.Time, since, until time.Time) bool {
-	if !since.IsZero() && t.Before(since) {
-		return false
-	}
-	if !until.IsZero() && t.After(until) {
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

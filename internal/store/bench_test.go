@@ -59,10 +59,7 @@ var benchSpec = RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}
 // scan of the store without materializing a single event.
 func benchRollup(b *testing.B, st *Store, events int) {
 	b.Helper()
-	doc, err := st.Rollup(benchSpec, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	doc := rollupScan(b, st.Segments(), nil, benchSpec, nil, 1)
 	if doc.TotalEvents != int64(events) {
 		b.Fatalf("rollup covered %d events, fixture has %d", doc.TotalEvents, events)
 	}
@@ -120,10 +117,7 @@ func BenchmarkStoreRollup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		doc, err := st.Rollup(benchSpec, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		doc := rollupScan(b, st.Segments(), nil, benchSpec, nil, 1)
 		if doc.TotalEvents != int64(fx.events) {
 			b.Fatalf("rollup covered %d events, fixture has %d", doc.TotalEvents, fx.events)
 		}
@@ -189,10 +183,7 @@ func benchQuery(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		doc, err := ParallelRollup(segs, nil, spec, m, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
+		doc := rollupScan(b, segs, nil, spec, m, workers)
 		if doc.TotalEvents <= 0 || doc.TotalEvents >= int64(fx.events) {
 			b.Fatalf("cage predicate kept %d of %d events", doc.TotalEvents, fx.events)
 		}
@@ -220,10 +211,7 @@ func BenchmarkStoreTop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		doc, err := TopSegments(st.Segments(), nil, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		doc := topScan(b, st.Segments(), nil, spec, nil, 1)
 		if doc.TotalEvents != int64(fx.events) {
 			b.Fatalf("top covered %d events, fixture has %d", doc.TotalEvents, fx.events)
 		}

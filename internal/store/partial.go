@@ -1,22 +1,19 @@
 package store
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Raw partial aggregates — the cross-replica face of the Merge kernels.
+// Raw partial aggregates — the cross-replica face of the accumulators.
 //
 // A rendered RollupDoc or TopDoc cannot be merged: rendering collapses
 // the numeric keys into display strings and (for Top) truncates to K.
 // When a router fans a query out to N replicas, each replica must
-// instead return its accumulator's raw cells, and the router merges
-// those with the same commutative/associative kernel the
-// segment-parallel executor uses — replicas and segments are the same
-// merge problem. RollupPartial and TopPartial are that wire shape:
-// numeric, canonically sorted, JSON-round-trippable, and convertible
-// back into an accumulator whose Doc() is byte-identical to a single
-// store that held all the rows.
+// instead return its accumulator's raw state, and the router folds
+// those with the same commutative/associative kernels the
+// segment-parallel scan uses — replicas and segments are the same
+// merge problem. Partial is that state: numeric, canonically sorted and
+// JSON-round-trippable. Folded into an empty accumulator of the same
+// spec, the partials of disjoint row owners render byte-identically to
+// one accumulator that saw every row.
 
 // RollupPartialCell is one raw rollup cell: the group-by coordinates
 // exactly as the accumulator keys them, plus the count.
@@ -29,16 +26,27 @@ type RollupPartialCell struct {
 	Count  int64 `json:"count"`
 }
 
-// RollupPartial is a Rollup accumulator in wire form.
-type RollupPartial struct {
-	Spec  RollupSpec          `json:"spec"`
+// TopPartialAgg is one raw offender aggregate.
+type TopPartialAgg struct {
+	Key    uint64          `json:"key"`
+	Count  int64           `json:"count"`
+	First  int64           `json:"first"`
+	Last   int64           `json:"last"`
+	ByCode map[int16]int64 `json:"by_code,omitempty"`
+}
+
+// Partial is an accumulator's raw state: a Rollup fills Cells, a Top
+// fills Aggs. Unlike TopDoc it carries every key, not the top K —
+// ranking truncation is only valid after the global merge.
+type Partial struct {
 	Total int64               `json:"total"`
-	Cells []RollupPartialCell `json:"cells"`
+	Cells []RollupPartialCell `json:"cells,omitempty"`
+	Aggs  []TopPartialAgg     `json:"aggs,omitempty"`
 }
 
 // Partial exports the accumulator's raw cells, canonically sorted.
-func (r *Rollup) Partial() RollupPartial {
-	p := RollupPartial{Spec: r.spec, Total: r.total, Cells: make([]RollupPartialCell, 0, len(r.cells))}
+func (r *Rollup) Partial() Partial {
+	p := Partial{Total: r.total, Cells: make([]RollupPartialCell, 0, len(r.cells))}
 	for k, v := range r.cells {
 		p.Cells = append(p.Cells, RollupPartialCell{Bucket: k.bucket, Code: k.code, Cab: k.cab, Cage: k.cage, Node: k.node, Count: v})
 	}
@@ -61,64 +69,17 @@ func (r *Rollup) Partial() RollupPartial {
 	return p
 }
 
-// specEqual compares rollup specs field-wise. Time bounds compare with
-// Equal, not ==: JSON round-tripping may change the wall-clock
-// representation (monotonic clock stripped, location renamed) without
-// changing the instant.
-func rollupSpecEqual(a, b RollupSpec) bool {
-	return a.ByCode == b.ByCode && a.ByCabinet == b.ByCabinet &&
-		a.ByCage == b.ByCage && a.ByNode == b.ByNode &&
-		a.Bucket == b.Bucket && a.FilterCode == b.FilterCode &&
-		a.Code == b.Code && a.Since.Equal(b.Since) && a.Until.Equal(b.Until)
-}
-
-// MergeRollupPartials folds partials from replicas (or any other
-// disjoint row owners) back into one accumulator. All partials must
-// carry the same spec; the merged accumulator's Doc() is byte-identical
-// to a single accumulator fed every underlying row, in any order.
-func MergeRollupPartials(parts []RollupPartial) (*Rollup, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("store: merge rollup: no partials")
+// AddPartial folds another row owner's rollup cells in.
+func (r *Rollup) AddPartial(p Partial) {
+	for _, c := range p.Cells {
+		r.cells[rollupKey{bucket: c.Bucket, code: c.Code, cab: c.Cab, cage: c.Cage, node: c.Node}] += c.Count
 	}
-	for i := 1; i < len(parts); i++ {
-		if !rollupSpecEqual(parts[0].Spec, parts[i].Spec) {
-			return nil, fmt.Errorf("store: merge rollup: partial %d spec differs", i)
-		}
-	}
-	root, err := NewRollup(parts[0].Spec)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		for _, c := range p.Cells {
-			root.cells[rollupKey{bucket: c.Bucket, code: c.Code, cab: c.Cab, cage: c.Cage, node: c.Node}] += c.Count
-		}
-		root.total += p.Total
-	}
-	return root, nil
-}
-
-// TopPartialAgg is one raw offender aggregate.
-type TopPartialAgg struct {
-	Key    uint64          `json:"key"`
-	Count  int64           `json:"count"`
-	First  int64           `json:"first"`
-	Last   int64           `json:"last"`
-	ByCode map[int16]int64 `json:"by_code,omitempty"`
-}
-
-// TopPartial is a Top accumulator in wire form. Unlike TopDoc it
-// carries every key, not the top K — ranking truncation is only valid
-// after the global merge.
-type TopPartial struct {
-	Spec  TopSpec         `json:"spec"`
-	Total int64           `json:"total"`
-	Aggs  []TopPartialAgg `json:"aggs"`
+	r.total += p.Total
 }
 
 // Partial exports the accumulator's raw aggregates, sorted by key.
-func (t *Top) Partial() TopPartial {
-	p := TopPartial{Spec: t.spec, Total: t.total, Aggs: make([]TopPartialAgg, 0, len(t.aggs))}
+func (t *Top) Partial() Partial {
+	p := Partial{Total: t.total, Aggs: make([]TopPartialAgg, 0, len(t.aggs))}
 	for key, agg := range t.aggs {
 		pa := TopPartialAgg{Key: key, Count: agg.count, First: agg.first, Last: agg.last}
 		if len(agg.byCode) > 0 {
@@ -130,51 +91,10 @@ func (t *Top) Partial() TopPartial {
 	return p
 }
 
-func topSpecEqual(a, b TopSpec) bool {
-	return a.By == b.By && a.K == b.K && a.FilterCode == b.FilterCode &&
-		a.Code == b.Code && a.Since.Equal(b.Since) && a.Until.Equal(b.Until)
-}
-
-// MergeTopPartials folds per-replica offender partials back into one
-// accumulator (same contract as MergeRollupPartials).
-func MergeTopPartials(parts []TopPartial) (*Top, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("store: merge top: no partials")
+// AddPartial folds another row owner's offender aggregates in.
+func (t *Top) AddPartial(p Partial) {
+	for _, pa := range p.Aggs {
+		t.fold(pa.Key, pa.Count, pa.First, pa.Last, pa.ByCode)
 	}
-	for i := 1; i < len(parts); i++ {
-		if !topSpecEqual(parts[0].Spec, parts[i].Spec) {
-			return nil, fmt.Errorf("store: merge top: partial %d spec differs", i)
-		}
-	}
-	root, err := NewTop(parts[0].Spec)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		for _, pa := range p.Aggs {
-			agg := root.aggs[pa.Key]
-			if agg == nil {
-				agg = &topAgg{first: pa.First, last: pa.Last}
-				// addRow only materializes per-code breakdowns for
-				// non-code dimensions; mirror that so a later Merge
-				// never writes into a nil map.
-				if root.spec.By != TopByCode {
-					agg.byCode = make(map[int16]int64, len(pa.ByCode))
-				}
-				root.aggs[pa.Key] = agg
-			}
-			agg.count += pa.Count
-			if pa.First < agg.first {
-				agg.first = pa.First
-			}
-			if pa.Last > agg.last {
-				agg.last = pa.Last
-			}
-			for code, n := range pa.ByCode {
-				agg.byCode[code] += n
-			}
-		}
-		root.total += p.Total
-	}
-	return root, nil
+	t.total += p.Total
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path"
+	"strings"
 	"time"
 
 	"titanre/internal/console"
@@ -43,13 +44,6 @@ type Predicate struct {
 	Since, Until time.Time
 }
 
-// Empty reports whether the predicate constrains nothing.
-func (p Predicate) Empty() bool {
-	return len(p.Codes) == 0 && len(p.NotCodes) == 0 &&
-		p.Node == "" && p.Cabinet == "" && p.Cage < 0 &&
-		p.Since.IsZero() && p.Until.IsZero()
-}
-
 // Compile validates the predicate and builds its Matcher. Globs are
 // checked up front (a malformed pattern fails here, never mid-scan), and
 // the node-level predicates are folded into one boolean mask over the
@@ -75,53 +69,59 @@ func (p Predicate) Compile() (*Matcher, error) {
 	}
 	if p.Node != "" || p.Cabinet != "" || p.Cage >= 0 {
 		// Cabinet globs are matched once per cabinet (200), the cname
-		// glob once per node slot (19,200 interned names).
+		// glob once per node slot (19,200 interned names) — unless it
+		// is a literal cname, which resolves straight to its one slot.
 		cabOK := make([]bool, topology.Cabinets)
 		for cab := range cabOK {
-			if p.Cabinet == "" {
-				cabOK[cab] = true
-				continue
-			}
-			name := fmt.Sprintf("c%d-%d", cab%topology.Columns, cab/topology.Columns)
-			ok, _ := path.Match(p.Cabinet, name)
-			cabOK[cab] = ok
+			cabOK[cab] = p.Cabinet == "" || globMatch(p.Cabinet, fmt.Sprintf("c%d-%d", cab%topology.Columns, cab/topology.Columns))
+		}
+		nodeOK := func(id topology.NodeID) bool {
+			loc := topology.LocationOf(id)
+			return cabOK[loc.Cabinet()] && (p.Cage < 0 || loc.Cage == p.Cage)
 		}
 		mask := make([]bool, topology.TotalNodes)
-		for n := range mask {
-			id := topology.NodeID(n)
-			loc := topology.LocationOf(id)
-			if !cabOK[loc.Cabinet()] {
-				continue
+		if p.Node != "" && isLiteral(p.Node) {
+			if id, err := topology.ParseNodeID(p.Node); err == nil && topology.CNameOf(id) == p.Node && nodeOK(id) {
+				mask[id] = true
 			}
-			if p.Cage >= 0 && loc.Cage != p.Cage {
-				continue
+		} else {
+			for n := range mask {
+				id := topology.NodeID(n)
+				mask[n] = nodeOK(id) && (p.Node == "" || globMatch(p.Node, topology.CNameOf(id)))
 			}
-			if p.Node != "" {
-				if ok, _ := path.Match(p.Node, topology.CNameOf(id)); !ok {
-					continue
-				}
-			}
-			mask[n] = true
 		}
 		m.nodeMask = mask
 	}
 	return m, nil
 }
 
+// isLiteral reports whether a glob has no path.Match metacharacters,
+// so it matches exactly the one name it spells.
+func isLiteral(glob string) bool { return !strings.ContainsAny(glob, `*?[\`) }
+
+// globMatch is path.Match for a glob Compile has already validated.
+func globMatch(glob, name string) bool {
+	if isLiteral(glob) {
+		return glob == name
+	}
+	ok, _ := path.Match(glob, name)
+	return ok
+}
+
 // Matcher is a compiled Predicate, shareable read-only across the
-// segment-parallel workers.
+// segment-parallel workers. A nil *Matcher matches every event.
 type Matcher struct {
 	p        Predicate
 	nodeMask []bool // nil = every node matches
 	lo, hi   int64  // inclusive epoch-second bounds
 }
 
-// Predicate returns the predicate the matcher was compiled from.
-func (m *Matcher) Predicate() Predicate { return m.p }
-
 // MatchEvent tests one materialized event — the kernel the retained
 // tail and the naive batch reference share.
 func (m *Matcher) MatchEvent(e console.Event) bool {
+	if m == nil {
+		return true
+	}
 	if sec := e.Time.Unix(); sec < m.lo || sec > m.hi {
 		return false
 	}
@@ -166,6 +166,9 @@ const (
 // the columns directly; matchNone means the segment contributes nothing
 // (detected without touching rows when only code predicates apply).
 func (m *Matcher) segmentBits(s *Segment) (bitmap, segMatch) {
+	if m == nil {
+		return bitmap{}, matchAll
+	}
 	if m.lo > s.maxT || m.hi < s.minT {
 		return bitmap{}, matchNone
 	}
@@ -235,9 +238,6 @@ func (m *Matcher) segmentBits(s *Segment) (bitmap, segMatch) {
 // CountWhere reports how many of the segment's rows match — the
 // popcount that pre-sizes result allocations.
 func (s *Segment) CountWhere(m *Matcher) int {
-	if m == nil {
-		return s.Len()
-	}
 	bits, kind := m.segmentBits(s)
 	switch kind {
 	case matchNone:
@@ -252,9 +252,6 @@ func (s *Segment) CountWhere(m *Matcher) int {
 // bitmap-marked positions and growing dst exactly once (by the
 // popcount).
 func (s *Segment) ScanWhere(m *Matcher, dst []console.Event) []console.Event {
-	if m == nil {
-		return s.AppendEvents(dst)
-	}
 	bits, kind := m.segmentBits(s)
 	switch kind {
 	case matchNone:
@@ -262,11 +259,7 @@ func (s *Segment) ScanWhere(m *Matcher, dst []console.Event) []console.Event {
 	case matchAll:
 		return s.AppendEvents(dst)
 	}
-	if need := bits.count(); cap(dst)-len(dst) < need {
-		grown := make([]console.Event, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = grow(dst, bits.count())
 	bits.forEach(func(i int) bool {
 		dst = append(dst, s.EventAt(i))
 		return true

@@ -3,11 +3,14 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"path"
 	"testing"
 	"time"
 
 	"titanre/internal/console"
+	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
 
@@ -148,7 +151,8 @@ func TestSegmentBitsMatchEvent(t *testing.T) {
 }
 
 // TestPredicateValidation: bad globs and out-of-range cages fail at
-// Compile, never mid-scan.
+// Compile, never mid-scan, and literal names compile to exactly the
+// node mask path.Match would build.
 func TestPredicateValidation(t *testing.T) {
 	for _, p := range []Predicate{
 		{Node: "c[3-", Cage: -1},
@@ -160,18 +164,55 @@ func TestPredicateValidation(t *testing.T) {
 			t.Fatalf("predicate %+v compiled, want error", p)
 		}
 	}
-	if p := (Predicate{Cage: -1}); !p.Empty() {
-		t.Fatal("unconstrained predicate not Empty")
-	}
-	if p := (Predicate{Node: "c3-*", Cage: -1}); p.Empty() {
-		t.Fatal("node-constrained predicate reports Empty")
+
+	// Literal names resolve without globbing; every mask must equal the
+	// path.Match reference over the whole node space.
+	for _, p := range []Predicate{
+		{Node: "c3-2c1s4n2", Cage: -1},
+		{Node: "c0-0c0s0n0", Cage: -1},
+		{Node: "c7-24c2s7n3", Cage: -1},
+		{Node: "c3-2c1s4n2", Cage: 1},
+		{Node: "c3-2c1s4n2", Cage: 0},
+		{Node: "c3-2c1s4n2", Cabinet: "c3-2", Cage: -1},
+		{Node: "c3-2c1s4n2", Cabinet: "c3-1", Cage: -1},
+		{Node: "c9-0c0s0n0", Cage: -1},  // column out of range
+		{Node: "c3-2c1s4n9", Cage: -1},  // node out of range
+		{Node: "c03-2c1s4n2", Cage: -1}, // non-canonical spelling
+		{Node: "c3-2", Cage: -1},
+		{Node: `c3\-2c1s4n2`, Cage: -1},
+		{Cabinet: "c3-2", Cage: -1},
+		{Cabinet: "c7-24", Cage: 2},
+		{Cabinet: "c3-25", Cage: -1}, // row out of range
+		{Cabinet: `c3\-2`, Cage: -1},
+		{Cabinet: "c3-2", Node: "c3-2c1*", Cage: -1},
+	} {
+		m, err := p.Compile()
+		if err != nil {
+			t.Fatalf("predicate %+v: %v", p, err)
+		}
+		for n := range topology.TotalNodes {
+			id := topology.NodeID(n)
+			loc := topology.LocationOf(id)
+			want := p.Cage < 0 || loc.Cage == p.Cage
+			if p.Cabinet != "" {
+				ok, _ := path.Match(p.Cabinet, fmt.Sprintf("c%d-%d", loc.Column, loc.Row))
+				want = want && ok
+			}
+			if p.Node != "" {
+				ok, _ := path.Match(p.Node, topology.CNameOf(id))
+				want = want && ok
+			}
+			if m.nodeMask[n] != want {
+				t.Fatalf("predicate %+v: node %s mask %v, path.Match reference %v", p, topology.CNameOf(id), m.nodeMask[n], want)
+			}
+		}
 	}
 }
 
-// TestRollupWhereMatchesEventFold: AddSegmentWhere over sealed segments
-// plus AddEventsWhere over a tail renders byte-identically to the naive
-// fold — filter the materialized stream with MatchEvent, then run the
-// plain event kernel — across predicates and sealed/tail split points.
+// TestRollupWhereMatchesEventFold: the scan driver over sealed segments
+// plus a tail renders byte-identically to the naive fold — filter the
+// materialized stream with MatchEvent, then run the plain event kernel
+// — across predicates and sealed/tail split points.
 func TestRollupWhereMatchesEventFold(t *testing.T) {
 	events := simEvents(t)
 	spec := RollupSpec{ByCode: true, ByCage: true, Bucket: 6 * time.Hour}
@@ -205,10 +246,7 @@ func TestRollupWhereMatchesEventFold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRoll, err := ParallelRollup(st.Segments(), tail, spec, m, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotRoll := rollupScan(t, st.Segments(), tail, spec, m, 1)
 			if !jsonEqual(t, gotRoll, wantRoll) {
 				t.Fatalf("split %d pred %d: rollup diverges from naive event fold", split, pi)
 			}
@@ -216,10 +254,7 @@ func TestRollupWhereMatchesEventFold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotTop, err := ParallelTop(st.Segments(), tail, topSpec, m, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotTop := topScan(t, st.Segments(), tail, topSpec, m, 1)
 			if !jsonEqual(t, gotTop, wantTop) {
 				t.Fatalf("split %d pred %d: top diverges from naive event fold", split, pi)
 			}
@@ -252,37 +287,24 @@ func TestParallelByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		refRoll, err := ParallelRollup(st.Segments(), tail, spec, m, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refTop, err := ParallelTop(st.Segments(), tail, topSpec, m, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Serial reference equals the pre-existing serial entry points
-		// when unfiltered.
-		if m == nil {
-			old, err := RollupSegments(st.Segments(), tail, spec)
+		refRoll := rollupScan(t, st.Segments(), tail, spec, m, 1)
+		refTop := topScan(t, st.Segments(), tail, topSpec, m, 1)
+		// Serial reference equals the plain event fold when unfiltered.
+		if p == nil {
+			old, err := RollupEvents(events, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !jsonEqual(t, refRoll, old) {
-				t.Fatal("ParallelRollup(workers=1, nil matcher) diverges from RollupSegments")
+				t.Fatal("Scan(workers=1, nil matcher) diverges from RollupEvents")
 			}
 		}
 		for _, workers := range []int{2, 3, 4, 7, 16, 0} {
-			gotRoll, err := ParallelRollup(st.Segments(), tail, spec, m, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotRoll := rollupScan(t, st.Segments(), tail, spec, m, workers)
 			if !jsonEqual(t, gotRoll, refRoll) {
 				t.Fatalf("workers=%d: rollup bytes diverge", workers)
 			}
-			gotTop, err := ParallelTop(st.Segments(), tail, topSpec, m, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			gotTop := topScan(t, st.Segments(), tail, topSpec, m, workers)
 			if !jsonEqual(t, gotTop, refTop) {
 				t.Fatalf("workers=%d: top bytes diverge", workers)
 			}

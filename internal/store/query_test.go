@@ -74,14 +74,8 @@ func TestMappedMatchesHeap(t *testing.T) {
 	}
 
 	spec := RollupSpec{ByCode: true, ByCabinet: true, Bucket: time.Hour}
-	hd, err := heap.Rollup(spec, nil)
-	if err != nil {
-		t.Fatalf("heap rollup: %v", err)
-	}
-	md, err := mapped.Rollup(spec, nil)
-	if err != nil {
-		t.Fatalf("mapped rollup: %v", err)
-	}
+	hd := rollupScan(t, heap.Segments(), nil, spec, nil, 0)
+	md := rollupScan(t, mapped.Segments(), nil, spec, nil, 0)
 	hj, _ := json.Marshal(hd)
 	mj, _ := json.Marshal(md)
 	if !bytes.Equal(hj, mj) {
@@ -164,10 +158,7 @@ func TestRollupMatchesEventKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d: event kernel: %v", i, err)
 		}
-		got, err := RollupSegments(segs, nil, spec)
-		if err != nil {
-			t.Fatalf("spec %d: segment kernel: %v", i, err)
-		}
+		got := rollupScan(t, segs, nil, spec, specMatcher(spec.FilterCode, spec.Code, spec.Since, spec.Until), 0)
 		wj, _ := json.Marshal(want)
 		gj, _ := json.Marshal(got)
 		if !bytes.Equal(wj, gj) {
@@ -191,10 +182,7 @@ func TestRollupMatchesEventKernel(t *testing.T) {
 	if _, err := sst.Seal(events[:cut]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := RollupSegments(sst.Segments(), events[cut:], spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := rollupScan(t, sst.Segments(), events[cut:], spec, nil, 0)
 	wj, _ := json.Marshal(want)
 	gj, _ := json.Marshal(got)
 	if !bytes.Equal(wj, gj) {
@@ -242,10 +230,7 @@ func TestTopMatchesEventKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d: event kernel: %v", i, err)
 		}
-		got, err := TopSegments(segs, nil, spec)
-		if err != nil {
-			t.Fatalf("spec %d: segment kernel: %v", i, err)
-		}
+		got := topScan(t, segs, nil, spec, specMatcher(spec.FilterCode, spec.Code, spec.Since, spec.Until), 0)
 		wj, _ := json.Marshal(want)
 		gj, _ := json.Marshal(got)
 		if !bytes.Equal(wj, gj) {
@@ -258,10 +243,7 @@ func TestTopMatchesEventKernel(t *testing.T) {
 	for _, e := range events {
 		counts[e.Code.String()]++
 	}
-	doc, err := TopSegments(segs, nil, TopSpec{By: TopByCode, K: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := topScan(t, segs, nil, TopSpec{By: TopByCode, K: 0}, nil, 0)
 	var total int64
 	for _, card := range doc.Cards {
 		if counts[card.Code] != card.Count {
@@ -312,7 +294,7 @@ func TestPreparePublish(t *testing.T) {
 }
 
 // TestScanCodeRange bounds a bitmap scan by time and matches a plain
-// filter.
+// filter — the code-history scan, a code and a time range on ScanWhere.
 func TestScanCodeRange(t *testing.T) {
 	events := simEvents(t)
 	dir := t.TempDir()
@@ -330,7 +312,7 @@ func TestScanCodeRange(t *testing.T) {
 			want = append(want, e)
 		}
 	}
-	got := st.ScanCodeRange(code, since, until)
+	got := scanWhere(t, st, Predicate{Codes: []xid.Code{code}, Cage: -1, Since: since, Until: until})
 	if len(got) != len(want) {
 		t.Fatalf("got %d events, want %d", len(got), len(want))
 	}
@@ -339,7 +321,44 @@ func TestScanCodeRange(t *testing.T) {
 			t.Fatalf("event %d mismatch", i)
 		}
 	}
-	if got := st.ScanCodeRange(code, time.Time{}, time.Time{}); len(got) != st.CountCode(code) {
+	if got := scanWhere(t, st, Predicate{Codes: []xid.Code{code}, Cage: -1}); len(got) != st.CountCode(code) {
 		t.Fatalf("unbounded range scan %d != popcount %d", len(got), st.CountCode(code))
 	}
+}
+
+// rollupScan folds the rows of segs and tail that m matches through
+// the scan driver.
+func rollupScan(t testing.TB, segs []*Segment, tail []console.Event, spec RollupSpec, m *Matcher, workers int) RollupDoc {
+	t.Helper()
+	r, err := NewRollup(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Scan(segs, tail, m, r, workers)
+	return r.Doc()
+}
+
+// topScan is rollupScan for an offender ranking.
+func topScan(t testing.TB, segs []*Segment, tail []console.Event, spec TopSpec, m *Matcher, workers int) TopDoc {
+	t.Helper()
+	top, err := NewTop(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Scan(segs, tail, m, top, workers)
+	return top.Doc()
+}
+
+// scanWhere returns every stored event p matches, in segment order.
+func scanWhere(t *testing.T, st *Store, p Predicate) []console.Event {
+	t.Helper()
+	m, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []console.Event
+	for _, seg := range st.Segments() {
+		out = seg.ScanWhere(m, out)
+	}
+	return out
 }

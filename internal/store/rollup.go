@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -20,7 +19,8 @@ import (
 
 // RollupSpec describes one rollup: which dimensions to group by, the
 // bucket width, and optional code/time filters. Zero times mean
-// unbounded; bounds are inclusive, matching ScanNode.
+// unbounded; bounds are inclusive. The filters act only in
+// RollupEvents; the scan driver takes its filter as a Matcher.
 type RollupSpec struct {
 	ByCode    bool
 	ByCabinet bool
@@ -32,8 +32,8 @@ type RollupSpec struct {
 	// seconds (the store's native resolution).
 	Bucket time.Duration
 
-	// FilterCode restricts the rollup to Code (enabling the per-code
-	// bitmap fast path inside segments).
+	// FilterCode restricts the rollup to Code, which the rendered
+	// document echoes as its "code" field.
 	FilterCode bool
 	Code       xid.Code
 
@@ -60,14 +60,13 @@ type rollupKey struct {
 	node   int32
 }
 
-// Rollup accumulates bucketed counts. Populate it with AddSegment /
-// AddEvents in any mix, then render with Doc.
+// Rollup accumulates bucketed counts. Fill it with Scan, then render
+// with Doc.
 type Rollup struct {
-	spec   RollupSpec
-	bs     int64 // bucket width, seconds
-	lo, hi int64 // inclusive time bounds, epoch seconds
-	cells  map[rollupKey]int64
-	total  int64
+	spec  RollupSpec
+	bs    int64 // bucket width, seconds
+	cells map[rollupKey]int64
+	total int64
 }
 
 // NewRollup validates spec and returns an empty accumulator.
@@ -75,30 +74,11 @@ func NewRollup(spec RollupSpec) (*Rollup, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	r := &Rollup{
-		spec:  spec,
-		bs:    int64(spec.Bucket / time.Second),
-		lo:    math.MinInt64,
-		hi:    math.MaxInt64,
-		cells: make(map[rollupKey]int64),
-	}
-	if !spec.Since.IsZero() {
-		r.lo = spec.Since.Unix()
-	}
-	if !spec.Until.IsZero() {
-		r.hi = spec.Until.Unix()
-	}
-	return r, nil
+	return &Rollup{spec: spec, bs: int64(spec.Bucket / time.Second), cells: make(map[rollupKey]int64)}, nil
 }
 
 // addRow is the shared kernel: one event as raw columns.
 func (r *Rollup) addRow(sec int64, code int16, node uint32) {
-	if sec < r.lo || sec > r.hi {
-		return
-	}
-	if r.spec.FilterCode && xid.Code(code) != r.spec.Code {
-		return
-	}
 	bucket := sec / r.bs
 	if sec < 0 && sec%r.bs != 0 {
 		bucket-- // floor, not truncate, for pre-epoch times
@@ -121,87 +101,36 @@ func (r *Rollup) addRow(sec int64, code int16, node uint32) {
 	r.total++
 }
 
-// AddSegment folds one sealed segment into the rollup, streaming its
-// columns. Segments outside the time bounds are pruned whole; a code
-// filter walks only the code's bitmap positions.
-func (r *Rollup) AddSegment(s *Segment) {
-	if r.lo > s.maxT || r.hi < s.minT {
-		return
-	}
-	if r.spec.FilterCode {
-		cb := s.findCode(r.spec.Code)
-		if cb == nil {
-			return
+func (r *Rollup) addSegment(s *Segment, rows bitmap, all bool) {
+	if all {
+		for i, t := range s.times {
+			r.addRow(t, int16(s.codes[i]), s.nodes[i])
 		}
-		cb.bits.forEach(func(i int) bool {
-			r.addRow(s.times[i], int16(s.codes[i]), s.nodes[i])
-			return true
-		})
 		return
 	}
-	for i, t := range s.times {
-		r.addRow(t, int16(s.codes[i]), s.nodes[i])
-	}
-}
-
-// AddEvents folds materialized events (e.g. the retained tail) into the
-// rollup through the identical kernel.
-func (r *Rollup) AddEvents(events []console.Event) {
-	for _, e := range events {
-		r.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node))
-	}
-}
-
-// AddSegmentWhere folds only the segment rows matching m, walking the
-// positions its predicate bitmap marks (see Matcher.segmentBits). A nil
-// matcher is AddSegment; a segment the matcher rules out entirely is
-// skipped without touching its columns.
-func (r *Rollup) AddSegmentWhere(s *Segment, m *Matcher) {
-	if m == nil {
-		r.AddSegment(s)
-		return
-	}
-	if r.lo > s.maxT || r.hi < s.minT {
-		return
-	}
-	bits, kind := m.segmentBits(s)
-	switch kind {
-	case matchNone:
-		return
-	case matchAll:
-		r.AddSegment(s)
-		return
-	}
-	bits.forEach(func(i int) bool {
+	rows.forEach(func(i int) bool {
 		r.addRow(s.times[i], int16(s.codes[i]), s.nodes[i])
 		return true
 	})
 }
 
-// AddEventsWhere folds only the materialized events matching m through
-// the identical kernel. A nil matcher is AddEvents.
-func (r *Rollup) AddEventsWhere(events []console.Event, m *Matcher) {
-	if m == nil {
-		r.AddEvents(events)
-		return
-	}
-	for _, e := range events {
-		if m.MatchEvent(e) {
-			r.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node))
-		}
-	}
+func (r *Rollup) addEvent(e console.Event) {
+	r.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node))
 }
 
-// Merge folds another accumulator built with the same spec into r.
-// Cell addition is commutative and associative, so merging per-worker
-// partials in any order renders the identical document — the property
-// the segment-parallel executor's determinism rests on. o must not be
-// used afterwards.
-func (r *Rollup) Merge(o *Rollup) {
-	for k, v := range o.cells {
+func (r *Rollup) fresh() Acc {
+	return &Rollup{spec: r.spec, bs: r.bs, cells: make(map[rollupKey]int64)}
+}
+
+// merge adds o's cells. Cell addition is commutative and associative,
+// so merging per-worker partials in any order renders the identical
+// document.
+func (r *Rollup) merge(o Acc) {
+	or := o.(*Rollup)
+	for k, v := range or.cells {
 		r.cells[k] += v
 	}
-	r.total += o.total
+	r.total += or.total
 }
 
 // RollupCell is one rendered cell. Only the grouped dimensions are
@@ -295,43 +224,26 @@ func (r *Rollup) Doc() RollupDoc {
 	return doc
 }
 
-// Rollup streams every sealed segment plus tail through one
-// accumulator — the store-side entry the /rollup endpoint uses. tail
-// may be nil.
-func (st *Store) Rollup(spec RollupSpec, tail []console.Event) (RollupDoc, error) {
-	r, err := NewRollup(spec)
-	if err != nil {
-		return RollupDoc{}, err
-	}
-	for _, seg := range st.Segments() {
-		r.AddSegment(seg)
-	}
-	r.AddEvents(tail)
-	return r.Doc(), nil
-}
-
-// RollupEvents computes the identical rollup from materialized events —
-// the batch-pipeline reference the equivalence tests compare the
-// streamed answer against.
+// RollupEvents folds materialized events, filtered by the spec's own
+// code and time fields — the batch-pipeline reference the equivalence
+// tests compare the streamed answer against.
 func RollupEvents(events []console.Event, spec RollupSpec) (RollupDoc, error) {
 	r, err := NewRollup(spec)
 	if err != nil {
 		return RollupDoc{}, err
 	}
-	r.AddEvents(events)
+	Scan(nil, events, specMatcher(spec.FilterCode, spec.Code, spec.Since, spec.Until), r, 1)
 	return r.Doc(), nil
 }
 
-// RollupSegments folds an explicit segment list plus tail — what a
-// caller holding a consistent (segments, tail) snapshot uses.
-func RollupSegments(segs []*Segment, tail []console.Event, spec RollupSpec) (RollupDoc, error) {
-	r, err := NewRollup(spec)
-	if err != nil {
-		return RollupDoc{}, err
+// specMatcher lowers a spec's FilterCode, Code, Since and Until onto a
+// matcher — the one place those fields filter rows. Past it they only
+// echo "code" in the rendered document.
+func specMatcher(filterCode bool, code xid.Code, since, until time.Time) *Matcher {
+	p := Predicate{Cage: -1, Since: since, Until: until}
+	if filterCode {
+		p.Codes = []xid.Code{code}
 	}
-	for _, seg := range segs {
-		r.AddSegment(seg)
-	}
-	r.AddEvents(tail)
-	return r.Doc(), nil
+	m, _ := p.Compile() // no glob and no cage: Compile cannot fail
+	return m
 }

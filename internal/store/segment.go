@@ -299,13 +299,22 @@ func (s *Segment) EventAt(i int) console.Event {
 	return e
 }
 
+// grow makes room in dst for need more events: exactly need when dst
+// has no spare capacity yet, so a popcount-sized scan allocates once,
+// and at least doubling otherwise, so appending many segments in turn
+// stays linear.
+func grow(dst []console.Event, need int) []console.Event {
+	if cap(dst)-len(dst) >= need {
+		return dst
+	}
+	grown := make([]console.Event, len(dst), max(len(dst)+need, 2*cap(dst)))
+	copy(grown, dst)
+	return grown
+}
+
 // AppendEvents appends every event in append order to dst.
 func (s *Segment) AppendEvents(dst []console.Event) []console.Event {
-	if cap(dst)-len(dst) < len(s.times) {
-		grown := make([]console.Event, len(dst), len(dst)+len(s.times))
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = grow(dst, len(s.times))
 	for i := range s.times {
 		dst = append(dst, s.EventAt(i))
 	}
@@ -319,81 +328,12 @@ func (s *Segment) ScanCode(code xid.Code, dst []console.Event) []console.Event {
 	if cb == nil {
 		return dst
 	}
-	if need := cb.bits.count(); cap(dst)-len(dst) < need {
-		grown := make([]console.Event, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = grow(dst, cb.bits.count())
 	cb.bits.forEach(func(i int) bool {
 		dst = append(dst, s.EventAt(i))
 		return true
 	})
 	return dst
-}
-
-// ScanCodeRange appends events carrying code within [since, until]
-// (inclusive, zero times meaning unbounded) to dst, walking only the
-// positions the code's bitmap marks.
-func (s *Segment) ScanCodeRange(code xid.Code, since, until time.Time, dst []console.Event) []console.Event {
-	cb := s.findCode(code)
-	if cb == nil {
-		return dst
-	}
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	if !since.IsZero() {
-		lo = since.Unix()
-	}
-	if !until.IsZero() {
-		hi = until.Unix()
-	}
-	if lo > s.maxT || hi < s.minT {
-		return dst
-	}
-	cb.bits.forEach(func(i int) bool {
-		if t := s.times[i]; t >= lo && t <= hi {
-			dst = append(dst, s.EventAt(i))
-		}
-		return true
-	})
-	return dst
-}
-
-// ScanNode appends events on node within [since, until] (inclusive,
-// zero times meaning unbounded) to dst.
-func (s *Segment) ScanNode(node topology.NodeID, since, until time.Time, dst []console.Event) []console.Event {
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	if !since.IsZero() {
-		lo = since.Unix()
-	}
-	if !until.IsZero() {
-		hi = until.Unix()
-	}
-	if lo > s.maxT || hi < s.minT {
-		return dst
-	}
-	n := uint32(node)
-	for i, nn := range s.nodes {
-		if nn != n {
-			continue
-		}
-		if t := s.times[i]; t < lo || t > hi {
-			continue
-		}
-		dst = append(dst, s.EventAt(i))
-	}
-	return dst
-}
-
-// Overlaps reports whether the segment's time range intersects
-// [since, until] (zero times meaning unbounded).
-func (s *Segment) Overlaps(since, until time.Time) bool {
-	if !since.IsZero() && s.maxT < since.Unix() {
-		return false
-	}
-	if !until.IsZero() && s.minT > until.Unix() {
-		return false
-	}
-	return true
 }
 
 // MemBytes estimates the resident heap footprint of the segment. For a

@@ -9,10 +9,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"titanre/internal/console"
-	"titanre/internal/topology"
 	"titanre/internal/xid"
 )
 
@@ -376,20 +374,6 @@ func (st *Store) ScanCode(code xid.Code) []console.Event {
 	return out
 }
 
-// ScanCodeRange returns every event carrying code within [since,
-// until] in segment order, pruning segments by their min/max time and
-// walking only bitmap-marked positions inside survivors.
-func (st *Store) ScanCodeRange(code xid.Code, since, until time.Time) []console.Event {
-	var out []console.Event
-	for _, seg := range st.Segments() {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		out = seg.ScanCodeRange(code, since, until, out)
-	}
-	return out
-}
-
 // CountCode reports the fleet-wide total of events carrying code, by
 // per-segment bitmap popcounts.
 func (st *Store) CountCode(code xid.Code) int {
@@ -398,19 +382,6 @@ func (st *Store) CountCode(code xid.Code) int {
 		total += seg.CountCode(code)
 	}
 	return total
-}
-
-// ScanNode returns events on node within [since, until], pruning
-// segments by their min/max time.
-func (st *Store) ScanNode(node topology.NodeID, since, until time.Time) []console.Event {
-	var out []console.Event
-	for _, seg := range st.Segments() {
-		if !seg.Overlaps(since, until) {
-			continue
-		}
-		out = seg.ScanNode(node, since, until, out)
-	}
-	return out
 }
 
 // Codes returns the sorted union of event codes across all segments.

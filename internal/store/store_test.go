@@ -139,8 +139,8 @@ func TestScanCodeMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestScanNodePruning checks node scans with time bounds and that
-// disjoint segments are pruned by min/max time.
+// TestScanNodePruning checks node scans (a cname and a time bound on
+// ScanWhere) and that disjoint segments are pruned by min/max time.
 func TestScanNodePruning(t *testing.T) {
 	events := simEvents(t)
 	st, err := Open(t.TempDir())
@@ -162,7 +162,7 @@ func TestScanNodePruning(t *testing.T) {
 			want = append(want, e)
 		}
 	}
-	got := st.ScanNode(node, since, time.Time{})
+	got := scanWhere(t, st, Predicate{Node: topology.CNameOf(node), Cage: -1, Since: since})
 	if len(got) != len(want) {
 		t.Fatalf("got %d events, want %d", len(got), len(want))
 	}
@@ -172,7 +172,11 @@ func TestScanNodePruning(t *testing.T) {
 		}
 	}
 	segs := st.Segments()
-	if segs[0].Overlaps(segs[1].MaxTime().Add(time.Hour), time.Time{}) {
+	past, err := Predicate{Cage: -1, Since: segs[1].MaxTime().Add(time.Hour)}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, kind := past.segmentBits(segs[0]); kind != matchNone {
 		t.Fatal("first segment claims overlap past second segment's max time")
 	}
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"titanre/internal/console"
@@ -27,13 +26,14 @@ const (
 )
 
 // TopSpec describes one offender query. K ≤ 0 means every key. Zero
-// times mean unbounded; bounds are inclusive.
+// times mean unbounded; bounds are inclusive. The filters act only in
+// TopEvents; the scan driver takes its filter as a Matcher.
 type TopSpec struct {
 	By TopBy
 	K  int
 
-	// FilterCode counts only events carrying Code (per-code bitmap fast
-	// path inside segments).
+	// FilterCode counts only events carrying Code, which the rendered
+	// document echoes as its "code" field.
 	FilterCode bool
 	Code       xid.Code
 
@@ -55,13 +55,11 @@ type topAgg struct {
 	byCode      map[int16]int64
 }
 
-// Top accumulates offender counts; populate with AddSegment/AddEvents,
-// render with Doc.
+// Top accumulates offender counts; fill it with Scan, render with Doc.
 type Top struct {
-	spec   TopSpec
-	lo, hi int64
-	aggs   map[uint64]*topAgg
-	total  int64
+	spec  TopSpec
+	aggs  map[uint64]*topAgg
+	total int64
 }
 
 // NewTop validates spec and returns an empty accumulator.
@@ -69,24 +67,11 @@ func NewTop(spec TopSpec) (*Top, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	t := &Top{spec: spec, lo: math.MinInt64, hi: math.MaxInt64, aggs: make(map[uint64]*topAgg)}
-	if !spec.Since.IsZero() {
-		t.lo = spec.Since.Unix()
-	}
-	if !spec.Until.IsZero() {
-		t.hi = spec.Until.Unix()
-	}
-	return t, nil
+	return &Top{spec: spec, aggs: make(map[uint64]*topAgg)}, nil
 }
 
 // addRow is the shared kernel: one event as raw columns.
 func (t *Top) addRow(sec int64, code int16, node, serial uint32) {
-	if sec < t.lo || sec > t.hi {
-		return
-	}
-	if t.spec.FilterCode && xid.Code(code) != t.spec.Code {
-		return
-	}
 	var key uint64
 	switch t.spec.By {
 	case TopByNode:
@@ -96,142 +81,77 @@ func (t *Top) addRow(sec int64, code int16, node, serial uint32) {
 	case TopByCode:
 		key = uint64(uint16(code))
 	}
-	agg := t.aggs[key]
-	if agg == nil {
-		agg = &topAgg{first: sec, last: sec}
-		if t.spec.By != TopByCode {
-			agg.byCode = make(map[int16]int64)
-		}
-		t.aggs[key] = agg
-	}
-	agg.count++
-	if sec < agg.first {
-		agg.first = sec
-	}
-	if sec > agg.last {
-		agg.last = sec
-	}
-	if agg.byCode != nil {
+	if agg := t.fold(key, 1, sec, sec, nil); agg.byCode != nil {
 		agg.byCode[code]++
 	}
 	t.total++
 }
 
-// AddSegment folds one sealed segment in, streaming its columns. A code
-// filter walks only that code's bitmap positions; by=code walks each
-// code's bitmap in turn — positions come straight off the bitmaps
-// either way.
-func (t *Top) AddSegment(s *Segment) {
-	if t.lo > s.maxT || t.hi < s.minT {
-		return
+// fold adds count events seen between first and last (and their
+// per-code breakdown) to key's aggregate. Counts add, first/last take
+// min/max, breakdowns add — all commutative and associative, so
+// per-worker and per-replica partials merge to the identical ranking in
+// any order.
+func (t *Top) fold(key uint64, count, first, last int64, byCode map[int16]int64) *topAgg {
+	agg := t.aggs[key]
+	if agg == nil {
+		agg = &topAgg{first: first, last: last}
+		if t.spec.By != TopByCode {
+			agg.byCode = make(map[int16]int64, len(byCode))
+		}
+		t.aggs[key] = agg
 	}
-	serialAt := func(i int) uint32 {
-		if t.spec.By != TopBySerial {
-			return 0
-		}
-		return s.serials[s.nodes[i]][s.cards[i]]
-	}
-	switch {
-	case t.spec.FilterCode:
-		cb := s.findCode(t.spec.Code)
-		if cb == nil {
-			return
-		}
-		cb.bits.forEach(func(i int) bool {
-			t.addRow(s.times[i], int16(s.codes[i]), s.nodes[i], serialAt(i))
-			return true
-		})
-	case t.spec.By == TopByCode:
-		for ci := range s.byCode {
-			cb := &s.byCode[ci]
-			cb.bits.forEach(func(i int) bool {
-				t.addRow(s.times[i], int16(cb.code), s.nodes[i], 0)
-				return true
-			})
-		}
-	default:
-		for i, sec := range s.times {
-			t.addRow(sec, int16(s.codes[i]), s.nodes[i], serialAt(i))
+	agg.count += count
+	agg.first = min(agg.first, first)
+	agg.last = max(agg.last, last)
+	if agg.byCode != nil { // by=code keeps no breakdown, whatever a partial claims
+		for code, n := range byCode {
+			agg.byCode[code] += n
 		}
 	}
+	return agg
 }
 
-// AddEvents folds materialized events (the retained tail) through the
-// identical kernel.
-func (t *Top) AddEvents(events []console.Event) {
-	for _, e := range events {
-		t.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node), uint32(e.Serial))
+// addCol folds row i of a sealed segment.
+func (t *Top) addCol(s *Segment, i int) {
+	var serial uint32
+	if t.spec.By == TopBySerial {
+		serial = s.serials[s.nodes[i]][s.cards[i]]
 	}
+	t.addRow(s.times[i], int16(s.codes[i]), s.nodes[i], serial)
 }
 
-// AddSegmentWhere folds only the segment rows matching m, walking the
-// positions its predicate bitmap marks. A nil matcher is AddSegment; a
-// ruled-out segment is skipped without touching its columns.
-func (t *Top) AddSegmentWhere(s *Segment, m *Matcher) {
-	if m == nil {
-		t.AddSegment(s)
-		return
-	}
-	if t.lo > s.maxT || t.hi < s.minT {
-		return
-	}
-	bits, kind := m.segmentBits(s)
-	switch kind {
-	case matchNone:
-		return
-	case matchAll:
-		t.AddSegment(s)
-		return
-	}
-	bySerial := t.spec.By == TopBySerial
-	bits.forEach(func(i int) bool {
-		var serial uint32
-		if bySerial {
-			serial = s.serials[s.nodes[i]][s.cards[i]]
+func (t *Top) addSegment(s *Segment, rows bitmap, all bool) {
+	if all {
+		for i := range s.times {
+			t.addCol(s, i)
 		}
-		t.addRow(s.times[i], int16(s.codes[i]), s.nodes[i], serial)
+		return
+	}
+	rows.forEach(func(i int) bool {
+		t.addCol(s, i)
 		return true
 	})
 }
 
-// AddEventsWhere folds only the materialized events matching m. A nil
-// matcher is AddEvents.
-func (t *Top) AddEventsWhere(events []console.Event, m *Matcher) {
-	if m == nil {
-		t.AddEvents(events)
-		return
-	}
-	for _, e := range events {
-		if m.MatchEvent(e) {
-			t.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node), uint32(e.Serial))
-		}
-	}
+func (t *Top) addEvent(e console.Event) {
+	t.addRow(e.Time.Unix(), int16(e.Code), uint32(e.Node), uint32(e.Serial))
 }
 
-// Merge folds another accumulator built with the same spec into t.
-// Counts add, first/last take min/max, per-code breakdowns add — all
-// commutative and associative, so per-worker partials merge to the
-// identical ranking in any order. o must not be used afterwards (its
-// aggregates may be adopted by t).
-func (t *Top) Merge(o *Top) {
-	for key, oa := range o.aggs {
-		agg := t.aggs[key]
-		if agg == nil {
-			t.aggs[key] = oa
+func (t *Top) fresh() Acc {
+	return &Top{spec: t.spec, aggs: make(map[uint64]*topAgg)}
+}
+
+func (t *Top) merge(o Acc) {
+	ot := o.(*Top)
+	for key, a := range ot.aggs {
+		if t.aggs[key] == nil {
+			t.aggs[key] = a // o is discarded: adopt its aggregate
 			continue
 		}
-		agg.count += oa.count
-		if oa.first < agg.first {
-			agg.first = oa.first
-		}
-		if oa.last > agg.last {
-			agg.last = oa.last
-		}
-		for code, n := range oa.byCode {
-			agg.byCode[code] += n
-		}
+		t.fold(key, a.count, a.first, a.last, a.byCode)
 	}
-	t.total += o.total
+	t.total += ot.total
 }
 
 // TopCard is one rendered offender.
@@ -299,27 +219,13 @@ func (t *Top) Doc() TopDoc {
 	return doc
 }
 
-// TopSegments folds an explicit segment list plus tail — what a caller
-// holding a consistent (segments, tail) snapshot uses.
-func TopSegments(segs []*Segment, tail []console.Event, spec TopSpec) (TopDoc, error) {
-	t, err := NewTop(spec)
-	if err != nil {
-		return TopDoc{}, err
-	}
-	for _, seg := range segs {
-		t.AddSegment(seg)
-	}
-	t.AddEvents(tail)
-	return t.Doc(), nil
-}
-
-// TopEvents computes the identical ranking from materialized events —
-// the batch reference.
+// TopEvents computes the identical ranking from materialized events,
+// filtered by the spec's own code and time fields — the batch reference.
 func TopEvents(events []console.Event, spec TopSpec) (TopDoc, error) {
 	t, err := NewTop(spec)
 	if err != nil {
 		return TopDoc{}, err
 	}
-	t.AddEvents(events)
+	Scan(nil, events, specMatcher(spec.FilterCode, spec.Code, spec.Since, spec.Until), t, 1)
 	return t.Doc(), nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"titanre/internal/console"
 	"titanre/internal/store"
+	"titanre/internal/xid"
 )
 
 // Compiling a plan lowers it onto the store kernels: the filter becomes
@@ -12,12 +13,11 @@ import (
 // position bitmap — stored per-code bitmaps unioned, then intersected
 // word-wise with the node-mask and time-range bitmaps; over the
 // retained tail it tests events one by one), and the stages become the
-// RollupSpec or TopSpec the accumulators already understand. Execute
-// then fans sealed segments across the segment-parallel workers;
-// because partial accumulators merge commutatively and the final render
-// sorts canonically, the document is byte-identical at any worker
-// count — and byte-identical to ExecuteEvents, the naive materialized
-// fold, which is the standing equivalence gate.
+// Rollup or Top accumulator store.Scan folds rows into. Because partial
+// accumulators merge commutatively and the final render sorts
+// canonically, the document is byte-identical at any worker count —
+// and byte-identical to ExecuteEvents, the naive materialized fold,
+// which is the standing equivalence gate.
 
 // Doc is one executed query. Exactly one of Rollup/Top is set,
 // mirroring the plan kind; Query echoes the canonical spelling.
@@ -26,104 +26,120 @@ type Doc struct {
 	RankedTop int              `json:"ranked_top,omitempty"`
 	Rollup    *store.RollupDoc `json:"rollup,omitempty"`
 	Top       *store.TopDoc    `json:"top,omitempty"`
+
+	urlForm bool
+}
+
+// Body is the document an endpoint serves: the bare Rollup or Top for a
+// plan lowered from /rollup or /top parameters, the whole Doc for a
+// /query expression.
+func (d Doc) Body() any {
+	switch {
+	case !d.urlForm:
+		return d
+	case d.Top != nil:
+		return d.Top
+	}
+	return d.Rollup
 }
 
 // Compiled is a plan lowered onto the store kernels, shareable
 // read-only across queries and workers.
 type Compiled struct {
 	plan    *Plan
-	query   string
 	matcher *store.Matcher
-	rollup  store.RollupSpec
-	top     store.TopSpec
 }
 
-// Compile validates the plan's filter (globs, cage range) and lowers it.
-// Time bounds live in both the matcher and the spec — the kernels prune
-// segments by min/max time either way, and applying them twice keeps
-// the two surfaces (compiled scan, naive fold) trivially aligned.
+// Compile validates the plan's filter (globs, cage range) and stages
+// (bucket width, offender dimension) and lowers it.
 func (p *Plan) Compile() (*Compiled, error) {
 	m, err := p.Filter.Compile()
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{plan: p, query: p.String(), matcher: m}
-	if p.Kind == KindTop {
-		c.top = store.TopSpec{By: p.TopBy, K: p.TopK, Since: p.Filter.Since, Until: p.Filter.Until}
-		if _, err := store.NewTop(c.top); err != nil {
-			return nil, err
-		}
-	} else {
-		c.rollup = store.RollupSpec{
-			ByCode:    p.ByCode,
-			ByCabinet: p.ByCabinet,
-			ByCage:    p.ByCage,
-			ByNode:    p.ByNode,
-			Bucket:    p.Bucket,
-			Since:     p.Filter.Since,
-			Until:     p.Filter.Until,
-		}
-		if _, err := store.NewRollup(c.rollup); err != nil {
-			return nil, err
-		}
+	if _, err := p.newAcc(); err != nil {
+		return nil, err
 	}
-	return c, nil
+	return &Compiled{plan: p, matcher: m}, nil
 }
 
-// Plan returns the plan the query was compiled from.
-func (c *Compiled) Plan() *Plan { return c.plan }
-
-// Execute runs the compiled plan over one consistent (sealed segments,
-// retained tail) snapshot, segment-parallel at the given worker count
-// (<= 0 means GOMAXPROCS). The rendered document is byte-identical at
-// any width and byte-identical to ExecuteEvents over the same stream.
-func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers int) (Doc, error) {
-	doc := Doc{Query: c.query}
-	if c.plan.Kind == KindTop {
-		top, err := store.ParallelTop(segs, tail, c.top, c.matcher, workers)
+// newAcc returns an empty accumulator shaped by the plan's stages. The
+// filter never reaches it — the matcher alone selects rows — except as
+// the URL form's "code" echo.
+func (p *Plan) newAcc() (store.Acc, error) {
+	echo := p.URLForm && len(p.Filter.Codes) == 1
+	var code xid.Code
+	if echo {
+		code = p.Filter.Codes[0]
+	}
+	if p.Kind == KindTop {
+		top, err := store.NewTop(store.TopSpec{By: p.TopBy, K: p.TopK, FilterCode: echo, Code: code})
 		if err != nil {
-			return Doc{}, err
+			return nil, err
 		}
-		doc.Top = &top
-		return doc, nil
+		return top, nil
 	}
-	roll, err := store.ParallelRollup(segs, tail, c.rollup, c.matcher, workers)
+	roll, err := store.NewRollup(store.RollupSpec{
+		ByCode:     p.ByCode,
+		ByCabinet:  p.ByCabinet,
+		ByCage:     p.ByCage,
+		ByNode:     p.ByNode,
+		Bucket:     p.Bucket,
+		FilterCode: echo,
+		Code:       code,
+	})
 	if err != nil {
-		return Doc{}, err
+		return nil, err
 	}
-	rankCells(&roll, c.plan.RankK)
-	doc.RankedTop = c.plan.RankK
-	doc.Rollup = &roll
-	return doc, nil
+	return roll, nil
+}
+
+// render ranks and renders a filled accumulator as the plan's document,
+// echoing query as its spelling.
+func (p *Plan) render(query string, acc store.Acc) Doc {
+	doc := Doc{Query: query, urlForm: p.URLForm}
+	switch a := acc.(type) {
+	case *store.Top:
+		top := a.Doc()
+		doc.Top = &top
+	case *store.Rollup:
+		roll := a.Doc()
+		rankCells(&roll, p.RankK)
+		doc.RankedTop = p.RankK
+		doc.Rollup = &roll
+	}
+	return doc
+}
+
+// scan folds the rows of one consistent (sealed segments, retained
+// tail) snapshot that the plan's filter matches, segment-parallel at
+// the given worker count (<= 0 means GOMAXPROCS).
+func (c *Compiled) scan(segs []*store.Segment, tail []console.Event, workers int) store.Acc {
+	acc, _ := c.plan.newAcc() // Compile validated the stages
+	store.Scan(segs, tail, c.matcher, acc, workers)
+	return acc
+}
+
+// Execute runs the compiled plan over one consistent snapshot. The
+// rendered document is byte-identical at any worker count and
+// byte-identical to ExecuteEvents over the same stream.
+func (c *Compiled) Execute(segs []*store.Segment, tail []console.Event, workers int) Doc {
+	return c.plan.render(c.plan.String(), c.scan(segs, tail, workers))
 }
 
 // ExecuteEvents is the naive reference: materialize the whole stream,
-// filter it event by event through the same matcher, fold it through
-// the plain event kernels. Every compiled plan must byte-match it.
-func (c *Compiled) ExecuteEvents(events []console.Event) (Doc, error) {
+// filter it event by event through the same matcher, fold what is kept
+// unfiltered. Every compiled plan must byte-match it.
+func (c *Compiled) ExecuteEvents(events []console.Event) Doc {
 	kept := make([]console.Event, 0, len(events))
 	for _, e := range events {
 		if c.matcher.MatchEvent(e) {
 			kept = append(kept, e)
 		}
 	}
-	doc := Doc{Query: c.query}
-	if c.plan.Kind == KindTop {
-		top, err := store.TopEvents(kept, c.top)
-		if err != nil {
-			return Doc{}, err
-		}
-		doc.Top = &top
-		return doc, nil
-	}
-	roll, err := store.RollupEvents(kept, c.rollup)
-	if err != nil {
-		return Doc{}, err
-	}
-	rankCells(&roll, c.plan.RankK)
-	doc.RankedTop = c.plan.RankK
-	doc.Rollup = &roll
-	return doc, nil
+	acc, _ := c.plan.newAcc() // Compile validated the stages
+	store.Scan(nil, kept, nil, acc, 1)
+	return c.plan.render(c.plan.String(), acc)
 }
 
 // rankCells keeps the k highest-count cells. The stable sort over the
@@ -152,5 +168,5 @@ func Run(q string, segs []*store.Segment, tail []console.Event, workers int) (Do
 	if err != nil {
 		return Doc{}, err
 	}
-	return c.Execute(segs, tail, workers)
+	return c.Execute(segs, tail, workers), nil
 }

@@ -2,6 +2,7 @@ package titanql
 
 import (
 	"fmt"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -108,12 +109,68 @@ func (p *Plan) parseFilter(toks []token) error {
 	return nil
 }
 
+// FromURL lowers the /rollup (kind KindRollup) or /top (KindTop) URL
+// parameters onto a plan. The URL form is spelling sugar for the query
+// language; titanreport -rollup lowers its flags through it too:
+//
+//	by=code,cabinet      | by code,cabinet    (/rollup; empty = time series)
+//	bucket=6h            | bucket 6h          (/rollup; default 1h)
+//	by=serial&k=10       | top serial 10      (/top; default node, 20)
+//	code=48              code=48, echoed as the document's "code"
+//	node= cabinet= cage= since= until=        the same predicates (SetPred)
+//
+// Parameters the endpoint does not take are ignored, and only the first
+// value of a repeated one counts.
+func FromURL(kind Kind, v url.Values) (*Plan, error) {
+	p := &Plan{Filter: store.Predicate{Cage: -1}, Kind: kind, URLForm: true}
+	if s := v.Get("code"); s != "" {
+		code, err := ParseCode(s)
+		if err != nil {
+			return nil, err
+		}
+		p.Filter.Codes = []xid.Code{code}
+	}
+	for _, key := range []string{"node", "cabinet", "cage", "since", "until"} {
+		if s := v.Get(key); s != "" {
+			if err := SetPred(&p.Filter, key, s, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if kind == KindTop {
+		p.TopBy, p.TopK = store.TopByNode, 20
+		if s := v.Get("by"); s != "" {
+			p.TopBy = store.TopBy(s)
+		}
+		if s := v.Get("k"); s != "" {
+			k, err := strconv.Atoi(s)
+			if err != nil || k < 0 {
+				return nil, fmt.Errorf("titanql: bad k %q", s)
+			}
+			p.TopK = k
+		}
+		return p, nil
+	}
+	p.Bucket = time.Hour
+	if s := v.Get("bucket"); s != "" {
+		d, err := parseDur(s)
+		if err != nil {
+			return nil, err
+		}
+		p.Bucket = d
+	}
+	if err := p.setDims(v.Get("by")); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // SetPred applies one filter predicate (key, value, and whether the
 // operator was `!=`) to a predicate under construction. It is the one
-// place query predicates are decoded — the titanql parser and the HTTP
-// parameter form (?cabinet=, ?cage=, ?node= on /rollup) both call it,
-// so the two surfaces accept identical spellings and reject identical
-// garbage. Duplicate keys are errors; `!=` applies only to code.
+// place query predicates are decoded — the titanql parser, FromURL and
+// the history endpoints' ?since=/?until= all call it, so every surface
+// accepts identical spellings and rejects identical garbage. Duplicate
+// keys are errors; `!=` applies only to code.
 func SetPred(p *store.Predicate, key, value string, negated bool) error {
 	if value == "" {
 		return fmt.Errorf("titanql: predicate %q has an empty value", key)
@@ -194,8 +251,21 @@ func (p *Plan) parseBy(toks []token) error {
 		}
 		words = append(words, tok.text)
 	}
-	for _, dim := range strings.Split(strings.Join(words, ","), ",") {
-		switch dim {
+	if err := p.setDims(strings.Join(words, ",")); err != nil {
+		return err
+	}
+	if !p.ByCode && !p.ByCabinet && !p.ByCage && !p.ByNode {
+		return fmt.Errorf("titanql: by needs at least one dimension")
+	}
+	return nil
+}
+
+// setDims turns on the group-by dimensions of a comma list. Empty items
+// are tolerated (`code, cage` leaves a trailing comma and a separate
+// word), so an empty list sets none.
+func (p *Plan) setDims(list string) error {
+	for _, dim := range strings.Split(list, ",") {
+		switch strings.TrimSpace(dim) {
 		case "code":
 			p.ByCode = true
 		case "cabinet":
@@ -205,13 +275,9 @@ func (p *Plan) parseBy(toks []token) error {
 		case "node":
 			p.ByNode = true
 		case "":
-			// tolerate `code, cage` (trailing comma + separate word)
 		default:
 			return fmt.Errorf("titanql: unknown dimension %q (want code, cabinet, cage or node)", dim)
 		}
-	}
-	if !p.ByCode && !p.ByCabinet && !p.ByCage && !p.ByNode {
-		return fmt.Errorf("titanql: by needs at least one dimension")
 	}
 	return nil
 }
@@ -273,7 +339,7 @@ func parseCodes(value string) ([]xid.Code, error) {
 		if part == "" {
 			continue
 		}
-		c, err := parseCode(part)
+		c, err := ParseCode(part)
 		if err != nil {
 			return nil, err
 		}
@@ -285,9 +351,10 @@ func parseCodes(value string) ([]xid.Code, error) {
 	return canonCodes(codes), nil
 }
 
-// parseCode accepts an XID number or the conventional sbe/otb
-// abbreviations (case-insensitive).
-func parseCode(s string) (xid.Code, error) {
+// ParseCode accepts one XID number or the conventional sbe/otb
+// abbreviations (case-insensitive) — the one decoder of a code spelling,
+// shared by the query language, the URL form and the history endpoints.
+func ParseCode(s string) (xid.Code, error) {
 	switch strings.ToLower(s) {
 	case "sbe":
 		return xid.SingleBitError, nil

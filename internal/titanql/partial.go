@@ -1,6 +1,7 @@
 package titanql
 
 import (
+	"bytes"
 	"fmt"
 
 	"titanre/internal/console"
@@ -12,93 +13,51 @@ import (
 // rendering are only valid after the global fold. ExecutePartial is
 // Execute stopping short of both: it runs the compiled plan over the
 // replica's own rows and exports the raw accumulator. MergePartials is
-// the router's other half: fold the partials with the store Merge
-// kernels, then rank and render exactly as a single Execute would have.
-// For rows partitioned across replicas in any way, the merged Doc is
+// the router's other half: fold the partials into one accumulator, then
+// rank and render exactly as a single Execute would have. For rows
+// partitioned across replicas in any way, the merged Doc is
 // byte-identical to Execute over the union — the cluster face of the
-// standing equivalence gate.
+// standing equivalence gate. /rollup, /top and /query all answer
+// ?partial=1 with a Partial, so one merge serves all three.
 
-// Partial is one replica's share of a query: the canonical query
-// echo, the rank bound (applied only after merging), and the raw
-// accumulator matching the plan kind.
+// Partial is one replica's share of a query: the plan it executed
+// (ranking is applied only after merging), its canonical spelling and
+// the raw accumulator. The spelling travels as bytes because a JSON
+// string would replace any invalid UTF-8 a glob holds, and the merged
+// document must echo it byte for byte.
 type Partial struct {
-	Query     string               `json:"query"`
-	RankedTop int                  `json:"ranked_top,omitempty"`
-	Rollup    *store.RollupPartial `json:"rollup,omitempty"`
-	Top       *store.TopPartial    `json:"top,omitempty"`
+	Query []byte `json:"query"`
+	Plan  *Plan  `json:"plan"`
+	store.Partial
 }
 
 // ExecutePartial runs the compiled plan over one consistent snapshot
 // and exports the unrendered, unranked accumulator.
-func (c *Compiled) ExecutePartial(segs []*store.Segment, tail []console.Event, workers int) (Partial, error) {
-	p := Partial{Query: c.query}
-	if c.plan.Kind == KindTop {
-		top, err := store.ParallelTopAcc(segs, tail, c.top, c.matcher, workers)
-		if err != nil {
-			return Partial{}, err
-		}
-		tp := top.Partial()
-		p.Top = &tp
-		return p, nil
-	}
-	roll, err := store.ParallelRollupAcc(segs, tail, c.rollup, c.matcher, workers)
-	if err != nil {
-		return Partial{}, err
-	}
-	rp := roll.Partial()
-	p.RankedTop = c.plan.RankK
-	p.Rollup = &rp
-	return p, nil
+func (c *Compiled) ExecutePartial(segs []*store.Segment, tail []console.Event, workers int) Partial {
+	return Partial{Query: []byte(c.plan.String()), Plan: c.plan, Partial: c.scan(segs, tail, workers).Partial()}
 }
 
 // MergePartials folds per-replica partials of one query into the final
-// document. All partials must agree on the query and plan kind (they
-// were produced by the same compiled plan on every replica); ranking is
-// applied after the merge, which is the only point it is sound.
+// document. All partials must carry the same plan (the same compiled
+// plan ran on every replica); ranking is applied after the merge, which
+// is the only point it is sound.
 func MergePartials(parts []Partial) (Doc, error) {
 	if len(parts) == 0 {
 		return Doc{}, fmt.Errorf("titanql: merge: no partials")
 	}
 	first := parts[0]
-	for i := 1; i < len(parts); i++ {
-		if parts[i].Query != first.Query {
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d query %q != %q", i, parts[i].Query, first.Query)
-		}
-		if parts[i].RankedTop != first.RankedTop {
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d rank bound %d != %d", i, parts[i].RankedTop, first.RankedTop)
-		}
-		if (parts[i].Top == nil) != (first.Top == nil) || (parts[i].Rollup == nil) != (first.Rollup == nil) {
-			return Doc{}, fmt.Errorf("titanql: merge: partial %d plan kind differs", i)
-		}
-	}
-	doc := Doc{Query: first.Query}
-	if first.Top != nil {
-		tps := make([]store.TopPartial, len(parts))
-		for i, p := range parts {
-			tps[i] = *p.Top
-		}
-		top, err := store.MergeTopPartials(tps)
-		if err != nil {
-			return Doc{}, fmt.Errorf("titanql: merge: %w", err)
-		}
-		d := top.Doc()
-		doc.Top = &d
-		return doc, nil
-	}
-	if first.Rollup == nil {
-		return Doc{}, fmt.Errorf("titanql: merge: partials carry no accumulator")
-	}
-	rps := make([]store.RollupPartial, len(parts))
 	for i, p := range parts {
-		rps[i] = *p.Rollup
+		if p.Plan == nil || !bytes.Equal(p.Query, first.Query) || p.Plan.URLForm != first.Plan.URLForm {
+			return Doc{}, fmt.Errorf("titanql: merge: partial %d plan differs from %q", i, first.Query)
+		}
 	}
-	roll, err := store.MergeRollupPartials(rps)
+	plan := first.Plan
+	acc, err := plan.newAcc()
 	if err != nil {
 		return Doc{}, fmt.Errorf("titanql: merge: %w", err)
 	}
-	d := roll.Doc()
-	rankCells(&d, first.RankedTop)
-	doc.RankedTop = first.RankedTop
-	doc.Rollup = &d
-	return doc, nil
+	for _, p := range parts {
+		acc.AddPartial(p.Partial)
+	}
+	return plan.render(string(first.Query), acc), nil
 }

@@ -16,13 +16,15 @@
 // Parse builds a typed Plan whose String() is the canonical spelling
 // (sorted code lists, fixed predicate and stage order, RFC3339 UTC
 // times) — Parse∘String is the identity on canonical queries, the
-// round-trip property the parser fuzzer holds. Compile lowers the plan
-// onto the store kernels: the filter becomes a store.Matcher (per-code
-// bitmaps intersected with node-mask and time-range bitmaps inside
-// sealed segments), the stages a RollupSpec or TopSpec, and Execute
-// runs them segment-parallel. ExecuteEvents is the deliberately naive
-// reference — materialize, filter event-by-event, fold — that every
-// compiled plan must byte-match.
+// round-trip property the parser fuzzer holds. FromURL lowers the
+// /rollup and /top URL parameters onto the same Plan, so the three read
+// endpoints are one query path. Compile lowers the plan onto the store
+// kernels: the filter becomes a store.Matcher (per-code bitmaps
+// intersected with node-mask and time-range bitmaps inside sealed
+// segments), the stages a Rollup or Top accumulator, and Execute runs
+// them through the segment-parallel store.Scan. ExecuteEvents is the
+// deliberately naive reference — materialize, filter event-by-event,
+// fold — that every compiled plan must byte-match.
 package titanql
 
 import (
@@ -64,6 +66,12 @@ type Plan struct {
 	// (TopK <= 0 means every key).
 	TopBy store.TopBy
 	TopK  int
+
+	// URLForm marks a plan lowered from /rollup or /top parameters
+	// (FromURL): its code filter is echoed as the rendered document's
+	// "code" field, and the endpoint serves the bare RollupDoc or
+	// TopDoc (Doc.Body). String does not spell it.
+	URLForm bool
 }
 
 // String renders the canonical spelling: predicates in fixed order with

@@ -3,6 +3,7 @@ package titanql_test
 import (
 	"bytes"
 	"encoding/json"
+	"net/url"
 	"os"
 	"sync"
 	"testing"
@@ -51,6 +52,63 @@ func TestParseCanonical(t *testing.T) {
 		}
 		if got := again.String(); got != tc.want {
 			t.Fatalf("canonical %q re-renders as %q", tc.want, got)
+		}
+	}
+}
+
+// TestFromURL: the /rollup and /top parameters lower onto the plan the
+// README's spelling table promises, and bad values fail to lower or
+// compile.
+func TestFromURL(t *testing.T) {
+	cases := []struct {
+		kind titanql.Kind
+		in   string
+		want string
+	}{
+		{titanql.KindRollup, "", "* | bucket 1h"},
+		{titanql.KindRollup, "by=code,cabinet&bucket=24h", "* | by code,cabinet | bucket 1d"},
+		{titanql.KindRollup, "by=node,%20code&code=sbe&cabinet=c3-*&cage=2&since=2014-01-01T00:00:00Z",
+			"code=sbe cabinet=c3-* cage=2 since=2014-01-01T00:00:00Z | by code,node | bucket 1h"},
+		{titanql.KindTop, "", "* | top node 20"},
+		{titanql.KindTop, "by=serial&k=0&code=48&node=c3-2c1s4n2&bucket=6h",
+			"code=48 node=c3-2c1s4n2 | top serial 0"},
+	}
+	for _, tc := range cases {
+		v, err := url.ParseQuery(tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := titanql.FromURL(tc.kind, v)
+		if err != nil {
+			t.Fatalf("FromURL(%q): %v", tc.in, err)
+		}
+		if got := p.String(); got != tc.want {
+			t.Fatalf("FromURL(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		kind titanql.Kind
+		in   string
+	}{
+		{titanql.KindRollup, "by=rack"},
+		{titanql.KindRollup, "bucket=10ms"},
+		{titanql.KindRollup, "code=zzz"},
+		{titanql.KindRollup, "code=13,31"},
+		{titanql.KindRollup, "cage=3"},
+		{titanql.KindRollup, "node=c[3-"},
+		{titanql.KindRollup, "since=yesterday"},
+		{titanql.KindTop, "by=cabinet"},
+		{titanql.KindTop, "k=-1"},
+		{titanql.KindTop, "cabinet=c["},
+	} {
+		v, err := url.ParseQuery(tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := titanql.FromURL(tc.kind, v); err == nil {
+			if _, err := p.Compile(); err == nil {
+				t.Fatalf("FromURL(%q) lowered and compiled, want error", tc.in)
+			}
 		}
 	}
 }
@@ -178,16 +236,9 @@ func TestExecuteMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", q, err)
 		}
-		want, err := c.ExecuteEvents(fx.all)
-		if err != nil {
-			t.Fatalf("ExecuteEvents(%q): %v", q, err)
-		}
-		wantJSON := mustJSON(t, want)
+		wantJSON := mustJSON(t, c.ExecuteEvents(fx.all))
 		for _, workers := range []int{1, 2, 5, 0} {
-			got, err := c.Execute(fx.segs, fx.tail, workers)
-			if err != nil {
-				t.Fatalf("Execute(%q, workers=%d): %v", q, workers, err)
-			}
+			got := c.Execute(fx.segs, fx.tail, workers)
 			if gotJSON := mustJSON(t, got); !bytes.Equal(gotJSON, wantJSON) {
 				t.Fatalf("query %q workers=%d: compiled plan diverges from naive fold\ngot:  %s\nwant: %s",
 					q, workers, gotJSON, wantJSON)

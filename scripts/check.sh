@@ -20,6 +20,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# runtests PKG PATTERN [FLAG...] runs `go test FLAG... -run PATTERN PKG`
+# after checking that every |-separated alternative of PATTERN matches
+# at least one test in PKG (go test -list), so a renamed or merged test
+# fails the gate instead of printing "[no tests to run]" and passing.
+runtests() {
+    pkg=$1
+    pattern=$2
+    shift 2
+    listed=$(go test -list . "$pkg" | grep -E '^(Test|Fuzz|Example)')
+    for alt in $(printf '%s' "$pattern" | tr '|' ' '); do
+        if ! printf '%s\n' "$listed" | grep -Eq -- "$alt"; then
+            echo "check.sh: -run alternative '$alt' matches no test in $pkg" >&2
+            exit 1
+        fi
+    done
+    go test "$@" -run "$pattern" "$pkg"
+}
+
 echo "== go build"
 go build ./...
 
@@ -30,40 +48,40 @@ echo "== go test -race"
 go test -race ./...
 
 echo "== determinism under contention (GOMAXPROCS=2, race mode)"
-GOMAXPROCS=2 go test -race ./internal/sim -run TestRunIdenticalAcrossGOMAXPROCS
-GOMAXPROCS=2 go test -race ./internal/core -run 'TestDigestsAcrossGOMAXPROCS|TestReportGolden'
+(export GOMAXPROCS=2; runtests ./internal/sim 'TestRunIdenticalAcrossGOMAXPROCS' -race)
+(export GOMAXPROCS=2; runtests ./internal/core 'TestDigestsAcrossGOMAXPROCS|TestReportGolden' -race)
 
 echo "== stream-vs-batch equivalence soak (titand pipeline, race mode)"
-go test -race ./internal/serve -run 'TestStreamMatchesBatchHTTP|TestShutdown' -count=2
-go test -race ./internal/alert -run TestStreamMatchesBatch -count=2
-go test -race ./internal/predict -run TestWarnerMatchesBatch -count=2
+runtests ./internal/serve 'TestStreamMatchesBatchHTTP|TestShutdown' -race -count=2
+runtests ./internal/alert 'TestStreamMatchesBatch' -race -count=2
+runtests ./internal/predict 'TestWarnerMatchesBatch' -race -count=2
 
 echo "== columnar segment round-trip digests (seal -> scan, race mode)"
-go test -race ./internal/store -run 'TestRoundTripDigest|TestEventsExact' -count=2
-go test -race ./internal/dataset -run 'TestColumnarLoadIdentical|TestColumnarReportIdentical' -count=1
-go test -race ./internal/serve -run 'TestCompactionBoundsRetained|TestWarmRestart' -count=1
+runtests ./internal/store 'TestRoundTripDigest|TestEventsExact' -race -count=2
+runtests ./internal/dataset 'TestColumnarLoadIdentical|TestColumnarReportIdentical' -race -count=1
+runtests ./internal/serve 'TestCompactionBoundsRetained|TestWarmRestart' -race -count=1
 
 echo "== query engine: rollup-vs-batch equivalence + snapshot consistency (race mode)"
-go test -race ./internal/store -run 'TestRollupMatchesEventKernel|TestTopMatchesEventKernel|TestMappedMatchesHeap|TestPreparePublish' -count=1
-go test -race ./internal/serve -run 'TestRollupMatchesBatch|TestCodeHistoryFleetWide|TestTopOffenders|TestHistoryArrivalOrder|TestQueryConsistencyUnderCompaction' -count=1
+runtests ./internal/store 'TestRollupMatchesEventKernel|TestTopMatchesEventKernel|TestMappedMatchesHeap|TestPreparePublish|TestScanCodeRange|TestScanNodePruning' -race -count=1
+runtests ./internal/serve 'TestRollupMatchesBatch|TestCodeHistoryFleetWide|TestTopOffenders|TestHistoryArrivalOrder|TestQueryConsistencyUnderCompaction' -race -count=1
 
 echo "== titanql: compiled plans vs naive fold, /query under live compaction (race mode)"
 go test -race ./internal/titanql -count=1
-go test -race ./internal/store -run 'TestBitmapOps|TestSegmentBitsMatchEvent|TestParallelByteIdentical|TestRollupWhereMatchesEventFold' -count=1
-go test -race ./internal/serve -run 'TestQueryEndpointMatchesNaive|TestRollupWhereParams|TestQueryExprConsistencyUnderCompaction' -count=1
-go test -race ./internal/dataset -run 'TestColumnarQueryIdentical' -count=1
-go test -race ./internal/core -run 'TestStudyQueryStoreBacked' -count=1
+runtests ./internal/store 'TestBitmapOps|TestSegmentBitsMatchEvent|TestPredicateValidation|TestParallelByteIdentical|TestRollupWhereMatchesEventFold' -race -count=1
+runtests ./internal/serve 'TestQueryEndpointMatchesNaive|TestRollupWhereParams|TestQueryExprConsistencyUnderCompaction' -race -count=1
+runtests ./internal/dataset 'TestColumnarQueryIdentical' -race -count=1
+runtests ./internal/core 'TestStudyQueryStoreBacked' -race -count=1
 
 echo "== crash-recovery equivalence (journal + quarantine, race mode)"
-go test -race ./internal/serve -run 'TestCrashRestart|TestKillMidCompactionRecovery|TestQuarantineDegradedStart' -count=1
-go test -race ./internal/store -run 'TestOpenRecover|TestOpenRemovesOrphans' -count=1
+runtests ./internal/serve 'TestCrashRestart|TestKillMidCompactionRecovery|TestQuarantineDegradedStart' -race -count=1
+runtests ./internal/store 'TestOpenRecover|TestOpenRemovesOrphans' -race -count=1
 
 echo "== crash-recovery soak (kill at every failpoint, scripts/crash.sh)"
 ./scripts/crash.sh
 
 echo "== titanfleet cluster soak (merge byte-identity, drain/restart, QoS isolation, race mode)"
 go test -race ./internal/router -count=1
-go test -race ./internal/serve -run 'TestFeedSupersetReplay|TestAlertFeedRestart|TestPerSourceAccountingExact' -count=1
+runtests ./internal/serve 'TestFeedSupersetReplay|TestAlertFeedRestart|TestPerSourceAccountingExact' -race -count=1
 
 echo "== benchmark smoke (full-period simulation, one iteration)"
 go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
