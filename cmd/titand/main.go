@@ -34,7 +34,8 @@
 //	GET  /alerts                 every alert raised so far
 //	GET  /warnings               every armed-rule precursor warning issued
 //	GET  /stats                  ingest/decode/apply counters as JSON
-//	GET  /metrics                the same in Prometheus text format
+//	GET  /metrics                the same snapshot, every field, in
+//	                             Prometheus text format
 //	GET  /healthz                liveness (reports "draining" during
 //	                             shutdown)
 //

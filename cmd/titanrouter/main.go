@@ -24,7 +24,7 @@
 //	GET  /top       merged offender ranking
 //	GET  /query     merged titanql query
 //	GET  /stats     router counters, per-source accounting included
-//	GET  /metrics   the same in Prometheus text format
+//	GET  /metrics   the same snapshot in Prometheus text format
 //	GET  /healthz   liveness
 //
 // SIGTERM or SIGINT shuts down gracefully: in-flight fan-outs finish.

@@ -1,11 +1,10 @@
 package router
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
+
+	"titanre/internal/metric"
 )
 
 // Router observability: /stats (JSON), /metrics (Prometheus text) and
@@ -14,41 +13,45 @@ import (
 // lines and in batches, exactly, which the source-isolation test
 // checks against the load generator's own books.
 
-// SourceStats is one feed's exact account at the router.
+// SourceStats is one feed's exact account at the router; /metrics
+// labels each series with the source name.
 type SourceStats struct {
-	OfferedBatches  uint64 `json:"offered_batches"`
-	AcceptedBatches uint64 `json:"accepted_batches"`
-	ShedBatches     uint64 `json:"shed_batches"`
-	FailedBatches   uint64 `json:"failed_batches"`
-	OfferedLines    uint64 `json:"offered_lines"`
-	AcceptedLines   uint64 `json:"accepted_lines"`
-	ShedLines       uint64 `json:"shed_lines"`
-	FailedLines     uint64 `json:"failed_lines"`
-	InflightLines   int64  `json:"inflight_lines"`
+	OfferedBatches  uint64 `json:"offered_batches" metric:"titanrouter_source_batches_offered_total,counter" help:"Batches offered per source."`
+	AcceptedBatches uint64 `json:"accepted_batches" metric:"titanrouter_source_batches_accepted_total,counter" help:"Batches fully delivered per source."`
+	ShedBatches     uint64 `json:"shed_batches" metric:"titanrouter_source_batches_shed_total,counter" help:"Batches shed per source by QoS."`
+	FailedBatches   uint64 `json:"failed_batches" metric:"titanrouter_source_batches_failed_total,counter" help:"Batches with undelivered lines per source."`
+	OfferedLines    uint64 `json:"offered_lines" metric:"titanrouter_source_lines_offered_total,counter" help:"Lines offered per source."`
+	AcceptedLines   uint64 `json:"accepted_lines" metric:"titanrouter_source_lines_accepted_total,counter" help:"Lines delivered per source."`
+	ShedLines       uint64 `json:"shed_lines" metric:"titanrouter_source_lines_shed_total,counter" help:"Lines shed per source by QoS."`
+	FailedLines     uint64 `json:"failed_lines" metric:"titanrouter_source_lines_failed_total,counter" help:"Lines undelivered per source."`
+	InflightLines   int64  `json:"inflight_lines" metric:"titanrouter_source_inflight_lines,gauge" help:"Lines per source currently held against its share."`
 }
 
-// Stats is the GET /stats document.
+// Stats is the one snapshot behind /stats (JSON) and /metrics
+// (Prometheus text, rendered by package metric): each field is the only
+// declaration of its series.
 type Stats struct {
-	UptimeSeconds    float64                `json:"uptime_seconds"`
-	Replicas         []string               `json:"replicas"`
-	SourceShareLines int                    `json:"source_share_lines"`
-	BatchesOffered   uint64                 `json:"batches_offered"`
-	BatchesAccepted  uint64                 `json:"batches_accepted"`
-	BatchesShed      uint64                 `json:"batches_shed"`
-	BatchesFailed    uint64                 `json:"batches_failed"`
-	BatchesRejected  uint64                 `json:"batches_rejected"`
-	LinesOffered     uint64                 `json:"lines_offered"`
-	LinesDelivered   uint64                 `json:"lines_delivered"`
-	LinesShed        uint64                 `json:"lines_shed"`
-	LinesFailed      uint64                 `json:"lines_failed"`
-	SubBatches       uint64                 `json:"sub_batches"`
-	DeliverRetries   uint64                 `json:"deliver_retries"`
-	ReadFanouts      uint64                 `json:"read_fanouts"`
-	ReadErrors       uint64                 `json:"read_errors"`
-	MergedAlerts     uint64                 `json:"merged_alerts"`
-	DegradedAlerts   uint64                 `json:"degraded_alerts"`
-	MergedQueries    uint64                 `json:"merged_queries"`
-	Sources          map[string]SourceStats `json:"sources,omitempty"`
+	UptimeSeconds    float64  `json:"uptime_seconds" metric:"titanrouter_uptime_seconds,gauge" help:"Seconds since the router started."`
+	Replicas         []string `json:"replicas" metric:"titanrouter_replicas,gauge" help:"Configured replica count."`
+	SourceShareLines int      `json:"source_share_lines" metric:"titanrouter_source_share_lines,gauge" help:"Per-source in-flight line share (lines over it are shed)."`
+	BatchesOffered   uint64   `json:"batches_offered" metric:"titanrouter_batches_offered_total,counter" help:"Client batches offered to /ingest."`
+	BatchesAccepted  uint64   `json:"batches_accepted" metric:"titanrouter_batches_accepted_total,counter" help:"Batches fully delivered to replicas."`
+	BatchesShed      uint64   `json:"batches_shed" metric:"titanrouter_batches_shed_total,counter" help:"Batches shed by per-source QoS."`
+	BatchesFailed    uint64   `json:"batches_failed" metric:"titanrouter_batches_failed_total,counter" help:"Batches with undelivered lines."`
+	BatchesRejected  uint64   `json:"batches_rejected" metric:"titanrouter_batches_rejected_total,counter" help:"Malformed or oversized batches."`
+	LinesOffered     uint64   `json:"lines_offered" metric:"titanrouter_lines_offered_total,counter" help:"Lines offered to /ingest."`
+	LinesDelivered   uint64   `json:"lines_delivered" metric:"titanrouter_lines_delivered_total,counter" help:"Lines delivered to replicas."`
+	LinesShed        uint64   `json:"lines_shed" metric:"titanrouter_lines_shed_total,counter" help:"Lines shed by per-source QoS."`
+	LinesFailed      uint64   `json:"lines_failed" metric:"titanrouter_lines_failed_total,counter" help:"Lines undelivered within the timeout."`
+	SubBatches       uint64   `json:"sub_batches" metric:"titanrouter_sub_batches_total,counter" help:"Per-replica sub-batches sent."`
+	DeliverRetries   uint64   `json:"deliver_retries" metric:"titanrouter_deliver_retries_total,counter" help:"Delivery retries against 429/503/connection errors."`
+	ReadFanouts      uint64   `json:"read_fanouts" metric:"titanrouter_read_fanouts_total,counter" help:"Read-side fan-outs."`
+	ReadErrors       uint64   `json:"read_errors" metric:"titanrouter_read_errors_total,counter" help:"Read-side fan-out failures."`
+	MergedAlerts     uint64   `json:"merged_alerts" metric:"titanrouter_merged_alerts_total,counter" help:"Merged /alerts responses."`
+	DegradedAlerts   uint64   `json:"degraded_alerts" metric:"titanrouter_degraded_alerts_total,counter" help:"Merged /alerts responses marked degraded."`
+	MergedQueries    uint64   `json:"merged_queries" metric:"titanrouter_merged_queries_total,counter" help:"Merged /rollup, /top and /query responses."`
+
+	Sources map[string]SourceStats `json:"sources,omitempty" metric:"label=source"`
 }
 
 // StatsNow snapshots the router counters.
@@ -111,60 +114,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
-// handleMetrics renders the counters in Prometheus text exposition
-// format, mirroring titand's /metrics idiom.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := rt.StatsNow()
-	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("titanrouter_uptime_seconds", "Seconds since the router started.", st.UptimeSeconds)
-	gauge("titanrouter_replicas", "Configured replica count.", float64(len(st.Replicas)))
-	counter("titanrouter_batches_offered_total", "Client batches offered to /ingest.", st.BatchesOffered)
-	counter("titanrouter_batches_accepted_total", "Batches fully delivered to replicas.", st.BatchesAccepted)
-	counter("titanrouter_batches_shed_total", "Batches shed by per-source QoS.", st.BatchesShed)
-	counter("titanrouter_batches_failed_total", "Batches with undelivered lines.", st.BatchesFailed)
-	counter("titanrouter_batches_rejected_total", "Malformed or oversized batches.", st.BatchesRejected)
-	counter("titanrouter_lines_offered_total", "Lines offered to /ingest.", st.LinesOffered)
-	counter("titanrouter_lines_delivered_total", "Lines delivered to replicas.", st.LinesDelivered)
-	counter("titanrouter_lines_shed_total", "Lines shed by per-source QoS.", st.LinesShed)
-	counter("titanrouter_lines_failed_total", "Lines undelivered within the timeout.", st.LinesFailed)
-	counter("titanrouter_sub_batches_total", "Per-replica sub-batches sent.", st.SubBatches)
-	counter("titanrouter_deliver_retries_total", "Delivery retries against 429/503/connection errors.", st.DeliverRetries)
-	counter("titanrouter_read_fanouts_total", "Read-side fan-outs.", st.ReadFanouts)
-	counter("titanrouter_read_errors_total", "Read-side fan-out failures.", st.ReadErrors)
-	counter("titanrouter_merged_alerts_total", "Merged /alerts responses.", st.MergedAlerts)
-	counter("titanrouter_degraded_alerts_total", "Merged /alerts responses marked degraded.", st.DegradedAlerts)
-	counter("titanrouter_merged_queries_total", "Merged /rollup, /top and /query responses.", st.MergedQueries)
-	if len(st.Sources) > 0 {
-		names := make([]string, 0, len(st.Sources))
-		for name := range st.Sources {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		srcCounter := func(name, help string, value func(SourceStats) uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, src := range names {
-				fmt.Fprintf(&b, "%s{source=%q} %d\n", name, src, value(st.Sources[src]))
-			}
-		}
-		srcCounter("titanrouter_source_lines_offered_total", "Lines offered per source.",
-			func(s SourceStats) uint64 { return s.OfferedLines })
-		srcCounter("titanrouter_source_lines_accepted_total", "Lines delivered per source.",
-			func(s SourceStats) uint64 { return s.AcceptedLines })
-		srcCounter("titanrouter_source_lines_shed_total", "Lines shed per source by QoS.",
-			func(s SourceStats) uint64 { return s.ShedLines })
-		srcCounter("titanrouter_source_lines_failed_total", "Lines undelivered per source.",
-			func(s SourceStats) uint64 { return s.FailedLines })
-		srcCounter("titanrouter_source_batches_offered_total", "Batches offered per source.",
-			func(s SourceStats) uint64 { return s.OfferedBatches })
-		srcCounter("titanrouter_source_batches_shed_total", "Batches shed per source by QoS.",
-			func(s SourceStats) uint64 { return s.ShedBatches })
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	w.Header().Set("Content-Type", metric.ContentType)
+	_ = metric.Write(w, rt.StatsNow()) // a failed write means the scraper hung up
 }

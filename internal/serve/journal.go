@@ -100,16 +100,16 @@ type JournalReplay struct {
 	FilesRemoved int
 }
 
-// JournalStats is a point-in-time counter snapshot for /stats and
-// /metrics.
+// JournalStats is the journal's slice of Stats (rendered by /stats and
+// /metrics alike).
 type JournalStats struct {
-	NextSeq        uint64
-	Appends        uint64
-	AppendFailures uint64
-	Syncs          uint64
-	Rotations      uint64
-	FilesRemoved   uint64
-	Wedged         bool
+	NextSeq        uint64 `json:"next_seq" metric:"titand_journal_next_seq,gauge" help:"Global sequence the next journaled event receives."`
+	Appends        uint64 `json:"appends" metric:"titand_journal_appends_total,counter" help:"Events framed into the write-ahead journal."`
+	AppendFailures uint64 `json:"append_failures" metric:"titand_journal_append_failures_total,counter" help:"Events applied but not journaled because the journal was wedged by an I/O failure."`
+	Syncs          uint64 `json:"syncs" metric:"titand_journal_syncs_total,counter" help:"Journal fsync calls (policy-dependent)."`
+	Rotations      uint64 `json:"rotations" metric:"titand_journal_rotations_total,counter" help:"Journal file rotations."`
+	FilesRemoved   uint64 `json:"files_removed" metric:"titand_journal_files_removed_total,counter" help:"Journal files deleted after the sealed floor covered them."`
+	Wedged         bool   `json:"wedged" metric:"titand_journal_wedged,gauge" help:"1 while the journal is wedged by an append failure (recovers at the next rotation)."`
 }
 
 type walFile struct {

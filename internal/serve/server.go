@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -31,6 +32,7 @@ import (
 
 	"titanre/internal/alert"
 	"titanre/internal/console"
+	"titanre/internal/metric"
 	"titanre/internal/predict"
 	"titanre/internal/store"
 	"titanre/internal/topology"
@@ -187,7 +189,7 @@ type Server struct {
 	// keyed by the X-Titan-Source header.
 	feed      *alertFeed
 	sourcesMu sync.Mutex
-	sources   map[string]*sourceCounters
+	sources   map[string]*SourceStats
 
 	parseWG sync.WaitGroup
 	applyWG sync.WaitGroup
@@ -253,7 +255,7 @@ func NewServer(cfg Config) *Server {
 		shards:      newShardSet(cfg.Shards, cfg.RateWindow, cfg.ShardQueueDepth),
 		alertEngine: alert.NewEngine(cfg.Alerts),
 		codeTotals:  make(map[xid.Code]int),
-		sources:     make(map[string]*sourceCounters),
+		sources:     make(map[string]*SourceStats),
 	}
 	if cfg.AlertFeed {
 		s.feed = newAlertFeed(cfg.Alerts)
@@ -443,8 +445,9 @@ func (s *Server) Journal() *Journal { return s.journal.Load() }
 // X-Titan-Source tags the batch's feed for per-source accounting, and
 // X-Titan-Seq-Base / X-Titan-Seq-Mask carry the router's global line
 // sequencing (both or neither; the mask popcount must equal the body's
-// line count, else 400 — a split/seq disagreement must never be
-// silently mis-sequenced).
+// line count and base + highest mask position must fit in 64 bits,
+// else 400 — a split/seq disagreement must never be silently
+// mis-sequenced).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -514,20 +517,20 @@ func parseSeqHeaders(r *http.Request, lines int) (uint64, []int32, error) {
 	if got := console.MaskCount(mask); got != lines {
 		return 0, nil, fmt.Errorf("%s popcount %d != body line count %d", SeqMaskHeader, got, lines)
 	}
-	return base, console.MaskPositions(mask), nil
-}
-
-// sourceCounters is the per-source ingest accounting; the invariant
-// offered == accepted + shed holds exactly (503 drain responses are
-// booked in neither — the batch was never offered to the queue and the
-// client retries it).
-type sourceCounters struct {
-	offeredBatches, acceptedBatches, shedBatches uint64
-	offeredLines, acceptedLines, shedLines       uint64
+	positions := console.MaskPositions(mask)
+	// The line's sequence, base + position, is the alert feed's dedup
+	// key: it must not wrap.
+	if n := len(positions); n > 0 && base > math.MaxUint64-uint64(positions[n-1]) {
+		return 0, nil, fmt.Errorf("%s %d + mask position %d overflows the sequence space", SeqBaseHeader, base, positions[n-1])
+	}
+	return base, positions, nil
 }
 
 // bookSource books one admission decision against the batch's source.
-// Untagged batches (no X-Titan-Source) are not tracked.
+// Untagged batches (no X-Titan-Source) are not tracked. The invariant
+// offered == accepted + shed holds exactly per source (503 drain
+// responses are booked in neither — the batch was never offered to the
+// queue and the client retries it).
 func (s *Server) bookSource(source string, lines int, accepted bool) {
 	if source == "" {
 		return
@@ -536,28 +539,29 @@ func (s *Server) bookSource(source string, lines int, accepted bool) {
 	defer s.sourcesMu.Unlock()
 	sc := s.sources[source]
 	if sc == nil {
-		sc = &sourceCounters{}
+		sc = &SourceStats{}
 		s.sources[source] = sc
 	}
-	sc.offeredBatches++
-	sc.offeredLines += uint64(lines)
+	sc.OfferedBatches++
+	sc.OfferedLines += uint64(lines)
 	if accepted {
-		sc.acceptedBatches++
-		sc.acceptedLines += uint64(lines)
+		sc.AcceptedBatches++
+		sc.AcceptedLines += uint64(lines)
 	} else {
-		sc.shedBatches++
-		sc.shedLines += uint64(lines)
+		sc.ShedBatches++
+		sc.ShedLines += uint64(lines)
 	}
 }
 
-// SourceStats is the per-source slice of /stats.
+// SourceStats is one source's slice of Stats; /metrics labels each
+// series with the source name.
 type SourceStats struct {
-	OfferedBatches  uint64 `json:"offered_batches"`
-	AcceptedBatches uint64 `json:"accepted_batches"`
-	ShedBatches     uint64 `json:"shed_batches"`
-	OfferedLines    uint64 `json:"offered_lines"`
-	AcceptedLines   uint64 `json:"accepted_lines"`
-	ShedLines       uint64 `json:"shed_lines"`
+	OfferedBatches  uint64 `json:"offered_batches" metric:"titand_source_batches_offered_total,counter" help:"Batches offered per source."`
+	AcceptedBatches uint64 `json:"accepted_batches" metric:"titand_source_batches_accepted_total,counter" help:"Batches admitted per source."`
+	ShedBatches     uint64 `json:"shed_batches" metric:"titand_source_batches_shed_total,counter" help:"Batches shed per source."`
+	OfferedLines    uint64 `json:"offered_lines" metric:"titand_source_lines_offered_total,counter" help:"Console lines offered by each X-Titan-Source feed."`
+	AcceptedLines   uint64 `json:"accepted_lines" metric:"titand_source_lines_accepted_total,counter" help:"Console lines admitted per source."`
+	ShedLines       uint64 `json:"shed_lines" metric:"titand_source_lines_shed_total,counter" help:"Console lines shed per source (exact; offered = accepted + shed)."`
 }
 
 // sourceStats snapshots the per-source accounting.
@@ -569,14 +573,7 @@ func (s *Server) sourceStats() map[string]SourceStats {
 	}
 	out := make(map[string]SourceStats, len(s.sources))
 	for name, sc := range s.sources {
-		out[name] = SourceStats{
-			OfferedBatches:  sc.offeredBatches,
-			AcceptedBatches: sc.acceptedBatches,
-			ShedBatches:     sc.shedBatches,
-			OfferedLines:    sc.offeredLines,
-			AcceptedLines:   sc.acceptedLines,
-			ShedLines:       sc.shedLines,
-		}
+		out[name] = *sc
 	}
 	return out
 }
@@ -747,68 +744,77 @@ func (s *Server) handleWarnings(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, views)
 }
 
-// Stats is the /stats JSON document.
+// Stats is the one snapshot behind /stats and /metrics: GET /stats
+// encodes it as JSON and GET /metrics renders it in the Prometheus text
+// format through package metric, so each field below is the only
+// declaration of its counter, gauge or histogram.
 type Stats struct {
-	UptimeSeconds   float64        `json:"uptime_seconds"`
-	BatchesAccepted uint64         `json:"batches_accepted"`
-	BatchesShed     uint64         `json:"batches_shed"`
-	BatchesRejected uint64         `json:"batches_rejected"`
-	LinesAccepted   uint64         `json:"lines_accepted"`
-	LinesShed       uint64         `json:"lines_shed"`
-	Events          uint64         `json:"events_decoded"`
-	EventsApplied   uint64         `json:"events_applied"`
-	Chatter         uint64         `json:"lines_chatter"`
-	Malformed       uint64         `json:"lines_malformed"`
-	Oversized       uint64         `json:"lines_oversized"`
-	FastHits        uint64         `json:"decode_fast_hits"`
-	FastFallbacks   uint64         `json:"decode_fast_fallbacks"`
-	AlertsRaised    uint64         `json:"alerts_raised"`
-	WarningsIssued  uint64         `json:"warnings_issued"`
-	QueueDepth      int            `json:"queue_depth"`
-	QueueCapacity   int            `json:"queue_capacity"`
-	NodesTracked    int            `json:"nodes_tracked"`
-	CardsTracked    int            `json:"cards_tracked"`
-	Shards          int            `json:"shards"`
-	EventsByCode    map[string]int `json:"events_by_code"`
+	UptimeSeconds   float64 `json:"uptime_seconds" metric:"titand_uptime_seconds,gauge" help:"Seconds since the service started."`
+	BatchesAccepted uint64  `json:"batches_accepted" metric:"titand_ingest_batches_accepted_total,counter" help:"POST /ingest bodies admitted to the parse queue."`
+	BatchesShed     uint64  `json:"batches_shed" metric:"titand_ingest_batches_shed_total,counter" help:"POST /ingest bodies rejected with 429 because the queue was full."`
+	BatchesRejected uint64  `json:"batches_rejected" metric:"titand_ingest_batches_rejected_total,counter" help:"POST /ingest bodies refused without being offered to the queue: read error, oversized or empty body, bad sequence headers (400/413), or 503 while draining."`
+	LinesAccepted   uint64  `json:"lines_accepted" metric:"titand_ingest_lines_total,counter" help:"Console lines read out of accepted batches."`
+	LinesShed       uint64  `json:"lines_shed" metric:"titand_ingest_lines_shed_total,counter" help:"Console lines discarded by load shedding (newline count of shed bodies)."`
+	Events          uint64  `json:"events_decoded" metric:"titand_decode_events_total,counter" help:"Lines that decoded into critical-event records."`
+	EventsApplied   uint64  `json:"events_applied" metric:"titand_events_applied_total,counter" help:"Events applied to the online state (global detectors + node shards)."`
+	Chatter         uint64  `json:"lines_chatter" metric:"titand_decode_chatter_total,counter" help:"Lines dropped because no SEC rule matched."`
+	Malformed       uint64  `json:"lines_malformed" metric:"titand_decode_malformed_total,counter" help:"Lines that matched a rule but could not be decoded."`
+	Oversized       uint64  `json:"lines_oversized" metric:"titand_decode_oversized_total,counter" help:"Lines over the 1 MiB record cap, skipped at the line reader."`
+	FastHits        uint64  `json:"decode_fast_hits" metric:"titand_decode_fast_hits_total,counter" help:"Lines decoded on the zero-allocation fast path."`
+	FastFallbacks   uint64  `json:"decode_fast_fallbacks" metric:"titand_decode_fast_fallbacks_total,counter" help:"Lines that left the fast path for the regex fallback."`
+	AlertsRaised    uint64  `json:"alerts_raised" metric:"titand_alerts_raised_total,counter" help:"Operator alerts raised by the streaming detectors."`
+	WarningsIssued  uint64  `json:"warnings_issued" metric:"titand_warnings_issued_total,counter" help:"Precursor warnings issued by the armed prediction rules."`
+	QueueDepth      int     `json:"queue_depth" metric:"titand_queue_depth,gauge" help:"Parse-queue batches currently waiting."`
+	QueueCapacity   int     `json:"queue_capacity" metric:"titand_queue_capacity,gauge" help:"Parse-queue capacity in batches."`
+	NodesTracked    int     `json:"nodes_tracked" metric:"titand_nodes_tracked,gauge" help:"Nodes with online reliability state."`
+	CardsTracked    int     `json:"cards_tracked" metric:"titand_cards_tracked,gauge" help:"GPU cards with online reliability state."`
+	Shards          int     `json:"shards" metric:"titand_state_shards,gauge" help:"Per-node state shards."`
+	Draining        bool    `json:"draining" metric:"titand_draining,gauge" help:"1 while the server is draining toward shutdown."`
+
+	EventsByCode map[string]int `json:"events_by_code" metric:"titand_events_by_code_total,counter,label=code" help:"Events applied per XID code, warm-start replay included."`
+
+	// IngestLatency is POST /ingest admission to 202, in seconds.
+	IngestLatency metric.Histogram `json:"ingest_latency_seconds" metric:"titand_ingest_latency_seconds" help:"Ingest request latency (admission to response)."`
 
 	// Compaction and memory (see internal/store): the retained tail is
 	// what is still hot in memory; sealed figures cover the on-disk
 	// columnar segments.
-	RetainedEvents     int    `json:"retained_events"`
-	SealedSegments     int    `json:"sealed_segments"`
-	SealedEvents       int    `json:"sealed_events"`
-	SealedSegmentBytes int64  `json:"sealed_segment_bytes"`
-	SealedMappedBytes  int64  `json:"sealed_mapped_bytes"`
-	Compactions        uint64 `json:"compactions"`
-	CompactionRetries  uint64 `json:"compaction_retries"`
-	EventsSealed       uint64 `json:"events_sealed"`
-	LastCompactionUnix int64  `json:"last_compaction_unix"`
-	HeapInuseBytes     uint64 `json:"heap_inuse_bytes"`
+	RetainedEvents     int    `json:"retained_events" metric:"titand_retained_events,gauge" help:"Applied events still held in memory (the unsealed tail)."`
+	SealedSegments     int    `json:"sealed_segments" metric:"titand_sealed_segments,gauge" help:"On-disk columnar segments sealed by compaction."`
+	SealedEvents       int    `json:"sealed_events" metric:"titand_sealed_events,gauge" help:"Events stored in sealed columnar segments."`
+	SealedSegmentBytes int64  `json:"sealed_segment_bytes" metric:"titand_sealed_segment_bytes,gauge" help:"Total on-disk bytes of sealed segment files."`
+	SealedMappedBytes  int64  `json:"sealed_mapped_bytes" metric:"titand_sealed_mapped_bytes,gauge" help:"Bytes of sealed segment files served from read-only memory mappings (0 on the heap path)."`
+	Compactions        uint64 `json:"compactions" metric:"titand_compactions_total,counter" help:"Compaction passes that sealed retained events into segments."`
+	CompactionFailures uint64 `json:"compaction_failures" metric:"titand_compaction_failures_total,counter" help:"Compaction passes that failed to seal (events stay retained)."`
+	CompactionRetries  uint64 `json:"compaction_retries" metric:"titand_compaction_retries_total,counter" help:"Chunk seals retried after a transient I/O fault (jittered exponential backoff)."`
+	EventsSealed       uint64 `json:"events_sealed" metric:"titand_events_sealed_total,counter" help:"Events moved from the retained log into on-disk columnar segments."`
+	LastCompactionUnix int64  `json:"last_compaction_unix" metric:"titand_last_compaction_timestamp_seconds,gauge" help:"Unix time of the last successful compaction (0 = never)."`
+	HeapInuseBytes     uint64 `json:"heap_inuse_bytes" metric:"titand_heap_inuse_bytes,gauge" help:"Go runtime heap bytes in use (runtime.MemStats.HeapInuse)."`
 
 	// Crash recovery: Degraded is true when a warm start had to
 	// quarantine corrupt segments; the quarantine figures are exact
 	// (EventsLost comes from the SEALED floor — the sequence the history
 	// should cover minus what actually loaded).
-	Degraded            bool   `json:"degraded"`
-	QuarantinedSegments int    `json:"quarantined_segments"`
-	QuarantinedBytes    int64  `json:"quarantined_bytes"`
-	EventsLost          uint64 `json:"events_lost_to_quarantine"`
-	OrphansRemoved      int    `json:"orphans_removed"`
-	SealedSeq           uint64 `json:"sealed_seq"`
+	Degraded            bool   `json:"degraded" metric:"titand_degraded,gauge" help:"1 when the warm start quarantined corrupt segments; the detector history has counted holes."`
+	QuarantinedSegments int    `json:"quarantined_segments" metric:"titand_quarantined_segments,gauge" help:"Corrupt segment files moved aside by the warm start."`
+	QuarantinedBytes    int64  `json:"quarantined_bytes" metric:"titand_quarantined_bytes,gauge" help:"On-disk bytes of quarantined segment files."`
+	EventsLost          uint64 `json:"events_lost_to_quarantine" metric:"titand_events_lost_to_quarantine,gauge" help:"Exact events inside quarantined segments (from the SEALED floor arithmetic)."`
+	OrphansRemoved      int    `json:"orphans_removed" metric:"titand_orphans_removed,gauge" help:"Orphaned .seg-* temp files (debris of a crash mid-seal) deleted by the warm start."`
+	SealedSeq           uint64 `json:"sealed_seq" metric:"titand_sealed_seq,gauge" help:"Global sequence the sealed history durably covers (the SEALED floor)."`
 
 	// Fleet-wide query endpoints.
-	QueryCodeHistory uint64 `json:"query_code_history"`
-	QueryRollup      uint64 `json:"query_rollup"`
-	QueryTop         uint64 `json:"query_top"`
-	Queries          uint64 `json:"queries"`
-	QueryErrors      uint64 `json:"query_errors"`
+	QueryCodeHistory uint64 `json:"query_code_history" metric:"titand_query_code_history_total,counter" help:"Fleet-wide code history queries served (GET /codes/{xid}/history)."`
+	QueryRollup      uint64 `json:"query_rollup" metric:"titand_query_rollup_total,counter" help:"Time-bucketed rollup queries served (GET /rollup)."`
+	QueryTop         uint64 `json:"query_top" metric:"titand_query_top_total,counter" help:"Top-offender queries served (GET /top)."`
+	Queries          uint64 `json:"queries" metric:"titand_queries_total,counter" help:"titanql plans received on GET /query (accepted or not)."`
+	QueryErrors      uint64 `json:"query_errors" metric:"titand_query_errors_total,counter" help:"GET /query requests rejected at parse, compile or execute."`
 
 	// Journal is present when the write-ahead journal is active.
 	Journal *JournalStats `json:"journal,omitempty"`
 
 	// Sources is the per-source ingest accounting (batches tagged with
 	// X-Titan-Source); offered == accepted + shed holds per source.
-	Sources map[string]SourceStats `json:"sources,omitempty"`
+	Sources map[string]SourceStats `json:"sources,omitempty" metric:"label=source"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -838,8 +844,12 @@ func (s *Server) StatsNow() Stats {
 		QueueCapacity:   s.cfg.QueueDepth,
 		Shards:          s.cfg.Shards,
 		EventsByCode:    map[string]int{},
+		IngestLatency:   m.latency(),
 	}
 	st.NodesTracked, st.CardsTracked = s.trackedCounts()
+	s.lifecycleMu.Lock()
+	st.Draining = s.draining
+	s.lifecycleMu.Unlock()
 	s.stateMu.Lock()
 	for code, n := range s.codeTotals {
 		st.EventsByCode[code.String()] = n
@@ -858,6 +868,7 @@ func (s *Server) StatsNow() Stats {
 	st.Queries = m.queries.Load()
 	st.QueryErrors = m.queryErrors.Load()
 	st.Compactions = m.compactions.Load()
+	st.CompactionFailures = m.compactFailures.Load()
 	st.CompactionRetries = m.compactRetries.Load()
 	st.EventsSealed = m.eventsSealed.Load()
 	st.LastCompactionUnix = s.lastCompact.Load()
@@ -900,45 +911,8 @@ func (s *Server) trackedCounts() (nodes, cards int) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	nodes, cards := s.trackedCounts()
-	s.lifecycleMu.Lock()
-	draining := s.draining
-	s.lifecycleMu.Unlock()
-	s.stateMu.Lock()
-	retained := len(s.events)
-	s.stateMu.Unlock()
-	g := snapshotGauges{
-		queueDepth:     s.queue.depth(),
-		queueCap:       s.cfg.QueueDepth,
-		nodesTracked:   nodes,
-		cardsTracked:   cards,
-		shards:         s.cfg.Shards,
-		draining:       draining,
-		retainedEvents: retained,
-		lastCompact:    s.lastCompact.Load(),
-	}
-	if sealed := s.sealedPeek(); sealed != nil {
-		g.sealedSegments = sealed.SegmentCount()
-		g.sealedEvents = sealed.EventCount()
-		g.sealedBytes = sealed.DiskBytes()
-	}
-	g.sealedSeq = s.sealedSeq.Load()
-	s.recovMu.Lock()
-	g.quarantinedSegs = len(s.recovery.Quarantined)
-	g.quarantinedBytes = s.recovery.QuarantinedBytes
-	g.eventsLost = s.eventsLost
-	s.recovMu.Unlock()
-	g.degraded = g.quarantinedSegs > 0 || g.eventsLost > 0
-	if j := s.journal.Load(); j != nil {
-		js := j.Stats()
-		g.journal = &js
-	}
-	g.sources = s.sourceStats()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	g.heapInuse = ms.HeapInuse
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, g, time.Now())
+	w.Header().Set("Content-Type", metric.ContentType)
+	_ = metric.Write(w, s.StatsNow()) // a failed write means the scraper hung up
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

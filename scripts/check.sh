@@ -8,9 +8,11 @@
 #   compaction), the crash-recovery soak (kill at every failpoint),
 #   the titanfleet cluster soak (4-replica byte-identical merge, router
 #   fan-out during a replica drain/restart, per-source QoS isolation,
-#   alert-evidence superset replay — all race mode), short fuzz smokes
-#   of the console parser, the batch splitter, and the titanql parser
-#   (grammar round-trip + plan equivalence), and the benchmark budgets
+#   alert-evidence superset replay — all race mode), the /metrics ==
+#   /stats agreement of titand and titanrouter, short fuzz smokes of the
+#   console parser, the batch splitter, the replica's sequence headers
+#   and the titanql parser (grammar round-trip + plan equivalence), and
+#   the benchmark budgets
 #   (fast-path decode allocs, columnar load bytes/allocs, store heap per
 #   event, journal overhead, mapped scan throughput, rollup allocations,
 #   parallel query speedup and cluster ingest scaling on multi-core
@@ -83,6 +85,9 @@ echo "== titanfleet cluster soak (merge byte-identity, drain/restart, QoS isolat
 go test -race ./internal/router -count=1
 runtests ./internal/serve 'TestFeedSupersetReplay|TestAlertFeedRestart|TestPerSourceAccountingExact' -race -count=1
 
+echo "== one counter declaration: /metrics renders the /stats snapshot (titand, router over 2 replicas, race mode)"
+runtests ./internal/metric 'TestWriteGolden|TestTitandMetricsAgree|TestRouterMetricsAgree' -race -count=1
+
 echo "== benchmark smoke (full-period simulation, one iteration)"
 go test . -run '^$' -bench 'BenchmarkSimulationFullPeriod$' -benchtime 1x
 
@@ -94,6 +99,9 @@ go test ./internal/console -run '^$' -fuzz FuzzDecodeEquivalence -fuzztime 5s
 
 echo "== batch splitter fuzz smoke (FuzzSplitBatch, 5s)"
 go test ./internal/console -run '^$' -fuzz FuzzSplitBatch -fuzztime 5s
+
+echo "== sequence header fuzz smoke (FuzzSeqHeaders, 5s)"
+go test ./internal/serve -run '^$' -fuzz FuzzSeqHeaders -fuzztime 5s
 
 echo "== titanql fuzz smoke (parser round-trip, 5s)"
 go test ./internal/titanql -run '^$' -fuzz FuzzTitanQLParse -fuzztime 5s
